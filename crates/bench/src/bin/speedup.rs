@@ -60,7 +60,7 @@ use wino_baselines::{spatial_convolve, spatial_convolve_strided};
 use wino_bench::print_comparison;
 use wino_core::{spatial_ops, ConvShape, WinogradParams, Workload};
 use wino_dse::Evaluator;
-use wino_exec::{fft_error_bound, ConvBackend, PreparedFft, PreparedSpatial, PreparedWinograd};
+use wino_exec::{fft_error_bound, PreparedFft, PreparedSpatial, PreparedWinograd};
 use wino_fpga::virtex7_485t;
 use wino_obs::{
     update_artifact, AggregatingProfiler, MetricFamily, MetricKind, MetricSample, ObsReport,
@@ -164,7 +164,7 @@ fn crossover_layer(name: &str, shape: ConvShape, seed: u64) -> CrossoverRow {
     let oracle = spatial_convolve_strided(&input, &kernels, shape.pad, 1);
 
     let mut timings = Vec::new();
-    let spatial = PreparedSpatial::new(kernels.clone(), 1);
+    let spatial = PreparedSpatial::new(&kernels, 1);
     let (millis, out) = best_of(2, || spatial.execute(&input, shape.pad, 1));
     let stats = ErrorStats::between(out.as_slice(), oracle.as_slice());
     timings.push(AlgoTiming {

@@ -1,5 +1,6 @@
 //! The layer-level execution kernels: batched thread-parallel Winograd
-//! convolution and the thread-parallel spatial fallback.
+//! convolution, the one-shot spatial fallback, and the deterministic
+//! chunk scheduler every engine fans its work items over.
 //!
 //! ## Parallel decomposition
 //!
@@ -24,8 +25,10 @@
 //!    gather each tile's `n²` products, inverse-transform, and emit the
 //!    finished output rows.
 //!
-//! The spatial path keeps its one-item-per-`(image, kernel)`-plane
-//! decomposition.
+//! The spatial path ([`PreparedSpatial`]) runs on the same GEMM: one
+//! item per panel of `PANEL_TILES` output positions (global
+//! `(image, y, x)` order) gathers that panel's im2col matrix and
+//! multiplies it against the kernel bank packed once at preparation.
 //!
 //! Items are distributed over `std::thread::scope` workers in fixed
 //! contiguous chunks (no work stealing), every item is computed
@@ -35,7 +38,7 @@
 //! the tests pin.
 
 use crate::gemm::{gemm_packed_a, pack_a, MR, PANEL_TILES};
-use crate::{EnginePlan, LayerPlan};
+use crate::{EnginePlan, LayerPlan, PreparedSpatial};
 use wino_core::{TransformError, TransformSet, WinogradParams};
 use wino_obs::Span;
 use wino_tensor::{Scalar, Shape4, Tensor4};
@@ -535,11 +538,12 @@ pub fn winograd_convolve<T: Scalar>(
 /// the engine's fallback for layers Winograd cannot run — generic over
 /// the datapath scalar.
 ///
-/// At `f32` this is bitwise identical to
-/// `wino_baselines::spatial_convolve_strided` (the accumulation order
-/// is the same); work items are `(image, kernel)` output planes
-/// distributed over scoped workers. At [`wino_tensor::Fixed`] the
-/// multiply-accumulate chain saturates per step, DSP-block style.
+/// Bitwise identical to `wino_baselines::spatial_convolve_strided` at
+/// any thread count, in `f32` and in saturating [`wino_tensor::Fixed`].
+/// Execution is im2col panels on the packed GEMM (see
+/// [`PreparedSpatial`]); this one-shot entry point packs the kernel bank
+/// on every call, so callers running the same kernels repeatedly should
+/// prepare a [`PreparedSpatial`] once and reuse it.
 ///
 /// # Panics
 ///
@@ -552,54 +556,7 @@ pub fn spatial_convolve_mt<T: Scalar>(
     stride: usize,
     threads: usize,
 ) -> Tensor4<T> {
-    let is = input.shape();
-    let ks = kernels.shape();
-    assert!(stride > 0, "stride must be positive");
-    assert_eq!(is.c, ks.c, "input and kernel channel counts must match");
-    assert_eq!(ks.h, ks.w, "kernels must be square");
-    assert!(is.h + 2 * pad >= ks.h && is.w + 2 * pad >= ks.w, "input too small for kernel");
-    let r = ks.h;
-    let out_h = (is.h + 2 * pad - r) / stride + 1;
-    let out_w = (is.w + 2 * pad - r) / stride + 1;
-    let plane_stride = is.h * is.w;
-    let in_flat = input.as_slice();
-    let k_flat = kernels.as_slice();
-
-    let _phase = Span::enter("exec.phase", "spatial");
-    let total = is.n * ks.n;
-    let planes = run_chunked(total, threads, "spatial", |item| {
-        let (img, k) = (item / ks.n, item % ks.n);
-        let mut plane = vec![T::zero(); out_h * out_w];
-        for (o, out) in plane.iter_mut().enumerate() {
-            let (y, x) = (o / out_w, o % out_w);
-            let mut acc = T::zero();
-            for c in 0..is.c {
-                let in_plane = &in_flat[(img * is.c + c) * plane_stride..][..plane_stride];
-                let kern = &k_flat[(k * ks.c + c) * r * r..][..r * r];
-                for v in 0..r {
-                    let iy = (y * stride + v) as isize - pad as isize;
-                    if iy < 0 || iy as usize >= is.h {
-                        continue;
-                    }
-                    for u in 0..r {
-                        let ix = (x * stride + u) as isize - pad as isize;
-                        if ix >= 0 && (ix as usize) < is.w {
-                            acc += in_plane[iy as usize * is.w + ix as usize] * kern[v * r + u];
-                        }
-                    }
-                }
-            }
-            *out = acc;
-        }
-        plane
-    });
-
-    let mut output = Tensor4::zeros(Shape4 { n: is.n, c: ks.n, h: out_h, w: out_w });
-    let out_flat = output.as_mut_slice();
-    for (item, plane) in planes.iter().enumerate() {
-        out_flat[item * out_h * out_w..(item + 1) * out_h * out_w].copy_from_slice(plane);
-    }
-    output
+    PreparedSpatial::new(kernels, stride).execute(input, pad, threads)
 }
 
 /// Executes one layer plan on the engine it names, in the scalar type

@@ -13,9 +13,10 @@
 //! across `std::thread` scoped workers under a deterministic
 //! (work-stealing-free) chunk scheduler, so results are bitwise
 //! identical at any thread count.
-//! Strided or oversized-kernel layers fall back to a thread-parallel
-//! spatial engine that matches `wino_baselines::spatial_convolve_strided`
-//! bit for bit.
+//! Strided or oversized-kernel layers fall back to a spatial engine
+//! ([`PreparedSpatial`]) lowered to im2col panels on the same packed
+//! GEMM — the kernel bank packed once as the `K × C·r²` operand — which
+//! matches `wino_baselines::spatial_convolve_strided` bit for bit.
 //!
 //! The bridge from design space exploration to execution is the
 //! [`Schedule`]: per-layer engine assignments lowered from the

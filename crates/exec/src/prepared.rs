@@ -20,10 +20,10 @@
 //!   kernel spectra, transformed and GEMM-packed exactly like the
 //!   Winograd `V`-bank (float only; `Schedule` validation rejects
 //!   fixed-point FFT layers and a hand-built pairing panics here);
-//! * spatial layers cache the (possibly quantized) kernel tensor in a
-//!   [`PreparedSpatial`](crate::PreparedSpatial) — there is no
-//!   transform to hoist, so the win there is only skipping the
-//!   per-call quantization of the kernels.
+//! * spatial layers cache a [`PreparedSpatial`](crate::PreparedSpatial):
+//!   the (possibly quantized) kernel bank packed once as the `K × C·r²`
+//!   `A` operand of the im2col GEMM, so every later run only gathers
+//!   input panels.
 //!
 //! Because every engine implements the same backend contract, the
 //! engine dispatch here is a single [`prepare_backend`] call per
@@ -74,7 +74,7 @@ fn prepare_backend<T: Scalar>(
             assert_eq!(s.stride, 1, "FFT plan '{}' requires unit stride", plan.layer);
             Arc::new(PreparedFft::new(n, kernels))
         }
-        EnginePlan::Spatial => Arc::new(PreparedSpatial::new(kernels.clone(), s.stride)),
+        EnginePlan::Spatial => Arc::new(PreparedSpatial::new(kernels, s.stride)),
     })
 }
 

@@ -2,7 +2,9 @@
 //! collection scopes, the two recorders, and both exposition renders.
 //!
 //! Tests that flip the *global* tracing flag serialise on a mutex —
-//! the flag is process-wide and the test harness runs threads.
+//! the flag is process-wide and the test harness runs threads — and so
+//! does every test that enters a `Span`: while another test has the
+//! global recorder enabled, its spans would land in that recorder.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
@@ -30,6 +32,7 @@ fn spin(duration: Duration) {
 
 #[test]
 fn disabled_spans_produce_nothing_and_collect_captures_nesting() {
+    let _guard = global_lock();
     // With no sink active the guard is inert…
     {
         let _span = Span::enter("test", "ghost");
@@ -61,6 +64,7 @@ fn disabled_spans_produce_nothing_and_collect_captures_nesting() {
 
 #[test]
 fn collect_scopes_nest_and_partition() {
+    let _guard = global_lock();
     let ((), outer_spans) = collect(|| {
         {
             let _before = Span::enter("test", "before");
@@ -78,6 +82,7 @@ fn collect_scopes_nest_and_partition() {
 
 #[test]
 fn collect_only_sees_the_current_thread() {
+    let _guard = global_lock();
     let ((), spans) = collect(|| {
         thread::scope(|scope| {
             scope.spawn(|| {
