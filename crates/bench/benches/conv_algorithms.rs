@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use wino_baselines::{fft_convolve, im2col_convolve, spatial_convolve};
-use wino_core::{fast_convolve_layer, FastKernel, WinogradAlgorithm, WinogradParams};
+use wino_core::{WinogradAlgorithm, WinogradParams};
 use wino_tensor::{Shape4, SplitMix64, Tensor4};
 
 fn layer(rng: &mut SplitMix64, c: usize, k: usize, hw: usize) -> (Tensor4<f32>, Tensor4<f32>) {
@@ -36,11 +36,6 @@ fn bench_conv(criterion: &mut Criterion) {
             &m,
             |b, _| b.iter(|| algo.convolve_layer(&input, &kernels, 1)),
         );
-    }
-    for (kind, label) in [(FastKernel::F2x2, "F(2x2,3x3)"), (FastKernel::F4x4, "F(4x4,3x3)")] {
-        group.bench_with_input(BenchmarkId::new("winograd_fast", label), &kind, |b, &k| {
-            b.iter(|| fast_convolve_layer(k, &input, &kernels, 1))
-        });
     }
     group.finish();
 }

@@ -17,9 +17,9 @@
 //!   dynamic batcher into batches executed through the registry's
 //!   cached kernel banks;
 //! * **serial** — the pre-serving workflow: the same requests, one
-//!   image at a time in trace order, through the one-shot
-//!   `execute_plan`/`execute_plan_quantized` path, which regenerates
-//!   transforms and re-transforms the kernel bank on every layer call.
+//!   image at a time in trace order, preparing a fresh `PreparedPlan`
+//!   for every layer call, which regenerates transforms and
+//!   re-quantizes and re-transforms the kernel bank each time.
 //!
 //! Acceptance (asserted here and recorded in the JSON): the serving
 //! path sustains **≥ 2×** the serial throughput, rejects nothing
@@ -67,9 +67,8 @@ fn build_trace(registry_len: usize, requests: usize, rng: &mut SplitMix64) -> Ve
 }
 
 /// The pre-serving baseline: one image at a time, no kernel-bank
-/// caching — every layer call regenerates transforms and re-transforms
-/// the bank, exactly what `execute_plan` did before preparation
-/// existed.
+/// caching — every layer call prepares its plan from scratch, so it
+/// regenerates transforms and re-quantizes and re-transforms the bank.
 fn run_serial(registry: &ModelRegistry, trace: &[TraceItem]) -> Duration {
     let start = Instant::now();
     for item in trace {
@@ -78,19 +77,10 @@ fn run_serial(registry: &ModelRegistry, trace: &[TraceItem]) -> Duration {
         for layer in 0..entry.layer_count() {
             let input = entry.request_input(layer, item.seed);
             let plan = &exec.schedule().plans()[layer];
-            let out = match exec.schedule().precision(layer) {
-                wino_exec::Precision::Float => {
-                    wino_exec::execute_plan(plan, &input, exec.kernels(layer), exec.config())
-                }
-                wino_exec::Precision::Fixed { frac } => wino_exec::execute_plan_quantized(
-                    plan,
-                    &input,
-                    exec.kernels(layer),
-                    exec.config(),
-                    frac,
-                ),
-            };
-            let _ = out.expect("validated plan executes");
+            let precision = exec.schedule().precision(layer);
+            let prepared = wino_exec::PreparedPlan::new(plan, precision, exec.kernels(layer))
+                .expect("validated plan prepares");
+            let _ = prepared.run(&input, exec.config().threads);
         }
     }
     start.elapsed()

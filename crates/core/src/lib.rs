@@ -37,7 +37,6 @@
 mod analysis;
 mod complexity;
 mod cse;
-mod fast;
 mod filtering;
 mod layer;
 mod opcount;
@@ -52,10 +51,6 @@ pub use complexity::{
     transform_complexity, winograd_mults, TileModel, TransformBreakdown,
 };
 pub use cse::{cse_optimize, transform_ops_2d_cse, CseResult};
-pub use fast::{
-    f23_data_transform, f23_inverse_transform, f23_kernel_transform, f43_data_transform,
-    f43_inverse_transform, f43_kernel_transform, fast_convolve_layer, FastKernel,
-};
 pub use filtering::{direct_correlate_1d, WinogradAlgorithm};
 pub use layer::{ConvShape, ParamError, WinogradParams};
 pub use opcount::{

@@ -207,20 +207,21 @@ impl<T: Scalar> RealTransforms<T> {
     }
 
     /// Data transform `U = Bᵀ d B` on a flat row-major `n × n` tile —
-    /// the generic-`m` counterpart of the hand-scheduled
-    /// [`f23_data_transform`](crate::f23_data_transform) /
-    /// [`f43_data_transform`](crate::f43_data_transform) kernels.
+    /// the allocation-free counterpart of
+    /// [`WinogradAlgorithm::transform_data`](crate::WinogradAlgorithm::transform_data).
     ///
     /// ```
-    /// use wino_core::{f23_data_transform, TransformSet, WinogradParams};
+    /// use wino_core::{TransformSet, WinogradAlgorithm, WinogradParams};
+    /// use wino_tensor::Tensor2;
     ///
-    /// let real = TransformSet::generate(WinogradParams::new(2, 3)?)?.to_f32();
+    /// let params = WinogradParams::new(2, 3)?;
+    /// let real = TransformSet::generate(params)?.to_f32();
     /// let tile: [f32; 16] = std::array::from_fn(|i| i as f32);
     /// let (mut u, mut scratch) = ([0.0f32; 16], [0.0f32; 16]);
     /// real.apply_data(&tile, &mut u, &mut scratch);
-    /// let mut expect = [0.0f32; 16];
-    /// f23_data_transform(&tile, &mut expect);
-    /// assert_eq!(u, expect);
+    /// let reference = WinogradAlgorithm::<f32>::for_params(params)?;
+    /// let expect = reference.transform_data(&Tensor2::from_vec(4, 4, tile.to_vec()));
+    /// assert_eq!(u.as_slice(), expect.as_slice());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///

@@ -1,14 +1,11 @@
 //! The pluggable convolution-backend layer: one contract that every
 //! prepared engine implements.
 //!
-//! Historically the execution stack hard-coded a two-way choice —
-//! [`PreparedWinograd`] or an inline spatial closure — inside
-//! [`PreparedPlan`](crate::PreparedPlan). This module extracts the
-//! common **prepare-once / execute-many** shape of both into
-//! [`ConvBackend`], so adding an algorithm (the overlap–save
-//! [`PreparedFft`] is the third implementor) touches engine selection
-//! in exactly one place instead of every match over
-//! [`EnginePlan`](crate::EnginePlan).
+//! [`PreparedWinograd`], [`PreparedFft`] and [`PreparedSpatial`] share
+//! the **prepare-once / execute-many** shape captured by
+//! [`ConvBackend`]. [`PreparedPlan::new`](crate::PreparedPlan::new) is
+//! the one place an [`EnginePlan`](crate::EnginePlan) is lowered to an
+//! implementor, so adding an algorithm is one implementor plus one arm.
 //!
 //! The contract every implementor honors:
 //!
@@ -40,11 +37,6 @@ use wino_tensor::{Scalar, Shape4, Tensor4};
 /// only on the kernels, so one backend can serve any compatible
 /// geometry.
 pub trait ConvBackend<T: Scalar>: Send + Sync {
-    /// Human-readable algorithm label, matching the corresponding
-    /// [`EnginePlan`](crate::EnginePlan) display: `F(4x4, 3x3)`,
-    /// `FFT(16)`, or `spatial`.
-    fn algorithm(&self) -> String;
-
     /// Runs the prepared engine over an `(N, C, H, W)` batch with
     /// symmetric zero padding `pad`, fanned across `threads` workers.
     ///
@@ -227,30 +219,18 @@ impl<T: Scalar> PreparedSpatial<T> {
 }
 
 impl<T: Scalar> ConvBackend<T> for PreparedSpatial<T> {
-    fn algorithm(&self) -> String {
-        "spatial".to_owned()
-    }
-
     fn execute(&self, input: &Tensor4<T>, pad: usize, threads: usize) -> Tensor4<T> {
         PreparedSpatial::execute(self, input, pad, threads)
     }
 }
 
 impl<T: Scalar> ConvBackend<T> for PreparedWinograd<T> {
-    fn algorithm(&self) -> String {
-        self.params().to_string()
-    }
-
     fn execute(&self, input: &Tensor4<T>, pad: usize, threads: usize) -> Tensor4<T> {
         PreparedWinograd::execute(self, input, pad, threads)
     }
 }
 
 impl<T: Scalar> ConvBackend<T> for PreparedFft<T> {
-    fn algorithm(&self) -> String {
-        format!("FFT({})", self.fft_size())
-    }
-
     fn execute(&self, input: &Tensor4<T>, pad: usize, threads: usize) -> Tensor4<T> {
         PreparedFft::execute(self, input, pad, threads)
     }
@@ -259,7 +239,8 @@ impl<T: Scalar> ConvBackend<T> for PreparedFft<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wino_core::WinogradParams;
+    use crate::{EnginePlan, LayerPlan, Precision, PreparedPlan};
+    use wino_core::{ConvShape, WinogradParams};
     use wino_tensor::{Shape4, SplitMix64};
 
     fn pair(seed: u64) -> (Tensor4<f32>, Tensor4<f32>) {
@@ -298,10 +279,17 @@ mod tests {
     #[test]
     fn algorithm_labels_match_engine_plan_display() {
         let (_, kernels) = pair(22);
-        let wino = PreparedWinograd::new(WinogradParams::new(4, 3).unwrap(), &kernels).unwrap();
-        assert_eq!(ConvBackend::<f32>::algorithm(&wino), "F(4x4, 3x3)");
-        assert_eq!(PreparedFft::new(16, &kernels).algorithm(), "FFT(16)");
-        assert_eq!(PreparedSpatial::new(&kernels, 2).algorithm(), "spatial");
+        let shape = ConvShape { h: 10, w: 9, c: 3, k: 4, r: 3, stride: 1, pad: 1 };
+        for (engine, label) in [
+            (EnginePlan::Winograd(WinogradParams::new(4, 3).unwrap()), "F(4x4, 3x3)"),
+            (EnginePlan::Fft { n: 16 }, "FFT(16)"),
+            (EnginePlan::Spatial, "spatial"),
+        ] {
+            assert_eq!(engine.to_string(), label);
+            let plan = LayerPlan { layer: "l".into(), shape, engine };
+            let prepared = PreparedPlan::new(&plan, Precision::Float, &kernels).unwrap();
+            assert_eq!(prepared.label(), label);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Whole-network execution: seeded weights, per-layer runs, timing
 //! reports, and self-verification against the spatial oracle.
 
-use crate::{ExecConfig, Precision, PreparedPlan, Schedule, ScheduleError};
+use crate::{ExecConfig, PreparedPlan, Schedule, ScheduleError};
 use std::fmt;
 use std::time::Instant;
 use wino_core::{spatial_ops, TransformError, Workload};
@@ -296,12 +296,8 @@ impl NetworkExecutor {
     /// # Panics
     ///
     /// Panics when `index` is out of range.
-    pub fn engine_label(&self, index: usize) -> String {
-        let engine = self.schedule.plans()[index].engine.to_string();
-        match self.schedule.precision(index) {
-            Precision::Float => engine,
-            quantized => format!("{engine} {quantized}"),
-        }
+    pub fn engine_label(&self, index: usize) -> &str {
+        self.prepared[index].label()
     }
 
     /// Runs and times every layer on its deterministic synthetic input.
@@ -346,7 +342,7 @@ impl NetworkExecutor {
                 let ops = spatial_ops(self.workload.batch(), &l.shape) as f64;
                 LayerReport {
                     layer: l.name.clone(),
-                    engine: self.engine_label(i),
+                    engine: self.engine_label(i).to_owned(),
                     millis: secs * 1e3,
                     phase_millis,
                     gflops: ops / secs / 1e9,
@@ -524,7 +520,7 @@ mod tests {
     fn prepared_layers_match_one_shot_execution_bitwise() {
         // The executor's cached kernel banks must change nothing: every
         // layer (float and quantized, Winograd and spatial) produces
-        // output bitwise identical to the unprepared per-call path.
+        // output bitwise identical to a plan prepared for that one call.
         let wl = toy();
         let schedule = Schedule::homogeneous(&wl, 2)
             .unwrap()
@@ -540,20 +536,10 @@ mod tests {
         for i in 0..schedule.len() {
             let input = exec.layer_input(i);
             let prepared = exec.execute_layer(i, &input).unwrap();
-            let plan = &schedule.plans()[i];
-            let one_shot = match schedule.precision(i) {
-                crate::Precision::Float => {
-                    crate::execute_plan(plan, &input, exec.kernels(i), exec.config()).unwrap()
-                }
-                crate::Precision::Fixed { frac } => crate::execute_plan_quantized(
-                    plan,
-                    &input,
-                    exec.kernels(i),
-                    exec.config(),
-                    frac,
-                )
-                .unwrap(),
-            };
+            let one_shot =
+                PreparedPlan::new(&schedule.plans()[i], schedule.precision(i), exec.kernels(i))
+                    .unwrap()
+                    .run(&input, exec.config().threads);
             assert_eq!(prepared.as_slice(), one_shot.as_slice(), "layer {i}");
         }
     }

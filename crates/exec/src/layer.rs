@@ -1,6 +1,6 @@
-//! The layer-level execution kernels: batched thread-parallel Winograd
-//! convolution, the one-shot spatial fallback, and the deterministic
-//! chunk scheduler every engine fans its work items over.
+//! The Winograd execution engine ([`PreparedWinograd`]), the execution
+//! configuration, and the deterministic chunk scheduler every engine
+//! fans its work items over.
 //!
 //! ## Parallel decomposition
 //!
@@ -25,7 +25,8 @@
 //!    gather each tile's `n²` products, inverse-transform, and emit the
 //!    finished output rows.
 //!
-//! The spatial path ([`PreparedSpatial`]) runs on the same GEMM: one
+//! The spatial path ([`PreparedSpatial`](crate::PreparedSpatial)) runs
+//! on the same GEMM: one
 //! item per panel of `PANEL_TILES` output positions (global
 //! `(image, y, x)` order) gathers that panel's im2col matrix and
 //! multiplies it against the kernel bank packed once at preparation.
@@ -38,7 +39,6 @@
 //! the tests pin.
 
 use crate::gemm::{gemm_packed_a, pack_a, MR, PANEL_TILES};
-use crate::{EnginePlan, LayerPlan, PreparedSpatial};
 use wino_core::{TransformError, TransformSet, WinogradParams};
 use wino_obs::Span;
 use wino_tensor::{Scalar, Shape4, Tensor4};
@@ -276,18 +276,25 @@ impl<T: Scalar> WinoCtx<'_, T> {
     }
 }
 
-/// A Winograd layer whose kernel bank has already been transformed —
-/// the reusable half of [`winograd_convolve`].
+/// A batched, thread-parallel tiled Winograd layer whose kernel bank
+/// has already been transformed, generic over the datapath scalar.
 ///
 /// Transforming the kernel bank into the coordinate-major `V` buffer
 /// (one `apply_kernel` per `(k, c)` pair, behind exact-rational
 /// transform generation) costs the same no matter how many images are
-/// pushed through the layer, so repeated execution — the serving path,
-/// or any executor re-running a network — should pay it once.
-/// [`PreparedWinograd::new`] does the transform; [`execute`]
-/// (`PreparedWinograd::execute`) then runs any number of inputs against
-/// the cached bank, producing output bitwise identical to the one-shot
-/// [`winograd_convolve`] (which is now a thin wrapper over this type).
+/// pushed through the layer, so [`PreparedWinograd::new`] pays it once;
+/// [`execute`] then runs any number of `(N, C, H, W)` inputs against
+/// the cached bank, producing `(N, K, H+2·pad−r+1, W+2·pad−r+1)` —
+/// stride 1, the only mode Winograd supports. The output matches
+/// `wino_core::WinogradAlgorithm::convolve_layer` and the spatial
+/// oracle within datapath tolerance, and is bitwise identical at any
+/// thread count.
+///
+/// Instantiated at `f32` this is the paper's single-precision datapath;
+/// instantiated at [`wino_tensor::Fixed`] every multiply and accumulate
+/// saturates like an FPGA DSP block, which is what the quantization
+/// study (`EXPERIMENTS.md`) measures. The transform matrices themselves
+/// are re-quantized into `T` via [`TransformSet::to_scalar`].
 ///
 /// [`execute`]: PreparedWinograd::execute
 #[derive(Debug, Clone)]
@@ -392,10 +399,8 @@ impl<T: Scalar> PreparedWinograd<T> {
         self.c
     }
 
-    /// Runs the convolution against the cached packed bank — identical
-    /// semantics (and bitwise-identical output) to [`winograd_convolve`]
-    /// with the kernels this bank was prepared from, at any thread
-    /// count.
+    /// Runs the convolution against the cached packed bank, with
+    /// bitwise-identical output at any thread count.
     ///
     /// Execution is the three-phase pipeline described in the module
     /// docs: pack tile panels, multiply coordinate-major through the
@@ -486,131 +491,11 @@ impl<T: Scalar> PreparedWinograd<T> {
     }
 }
 
-/// Batched, thread-parallel tiled Winograd layer convolution, generic
-/// over the datapath scalar.
-///
-/// `input` is `(N, C, H, W)`, `kernels` `(K, C, r, r)`; output is
-/// `(N, K, H+2·pad−r+1, W+2·pad−r+1)` — stride 1, the only mode
-/// Winograd supports. Functionally equivalent to
-/// `wino_core::WinogradAlgorithm::convolve_layer` and to the spatial
-/// oracle (within datapath tolerance), but organized for speed: the
-/// kernel bank is transformed once into a coordinate-major, GEMM-packed
-/// `V` buffer, input tiles are packed into coordinate-major panels, and
-/// the transform-domain multiply runs as `n²` channel GEMMs through the
-/// register-tiled, cache-blocked micro-kernel of [`crate::gemm`] —
-/// every phase fanned across `threads` scoped workers under a
-/// deterministic chunk scheduler, so the output is bitwise identical at
-/// any thread count.
-///
-/// This one-shot entry point re-transforms the kernel bank on every
-/// call; callers running the same kernels repeatedly should prepare the
-/// bank once with [`PreparedWinograd`] (whose `execute` is bitwise
-/// identical) and reuse it.
-///
-/// Instantiated at `f32` this is the paper's single-precision datapath;
-/// instantiated at [`wino_tensor::Fixed`] every multiply and accumulate
-/// saturates like an FPGA DSP block, which is what the quantization
-/// study (`EXPERIMENTS.md`) measures. The transform matrices themselves
-/// are re-quantized into `T` via [`TransformSet::to_scalar`].
-///
-/// # Errors
-///
-/// Propagates [`TransformError`] from transform generation.
-///
-/// # Panics
-///
-/// Panics if channel counts disagree, kernels are not `r × r` for the
-/// given `params`, or the padded input is smaller than the kernel.
-pub fn winograd_convolve<T: Scalar>(
-    params: WinogradParams,
-    input: &Tensor4<T>,
-    kernels: &Tensor4<T>,
-    pad: usize,
-    threads: usize,
-) -> Result<Tensor4<T>, TransformError> {
-    let is = input.shape();
-    let ks = kernels.shape();
-    assert_eq!(is.c, ks.c, "input and kernel channel counts must match");
-    Ok(PreparedWinograd::new(params, kernels)?.execute(input, pad, threads))
-}
-
-/// Thread-parallel direct spatial convolution with arbitrary stride —
-/// the engine's fallback for layers Winograd cannot run — generic over
-/// the datapath scalar.
-///
-/// Bitwise identical to `wino_baselines::spatial_convolve_strided` at
-/// any thread count, in `f32` and in saturating [`wino_tensor::Fixed`].
-/// Execution is im2col panels on the packed GEMM (see
-/// [`PreparedSpatial`]); this one-shot entry point packs the kernel bank
-/// on every call, so callers running the same kernels repeatedly should
-/// prepare a [`PreparedSpatial`] once and reuse it.
-///
-/// # Panics
-///
-/// Panics if `stride == 0`, channel counts disagree, kernels are not
-/// square, or the padded input is smaller than the kernel.
-pub fn spatial_convolve_mt<T: Scalar>(
-    input: &Tensor4<T>,
-    kernels: &Tensor4<T>,
-    pad: usize,
-    stride: usize,
-    threads: usize,
-) -> Tensor4<T> {
-    PreparedSpatial::new(kernels, stride).execute(input, pad, threads)
-}
-
-/// Executes one layer plan on the engine it names, in the scalar type
-/// of the supplied tensors (`f32`, or `Fixed<FRAC>` for an already
-/// quantized datapath — see `execute_plan_quantized` for the
-/// f32-in/f32-out wrapper the executor uses).
-///
-/// # Errors
-///
-/// Propagates [`TransformError`] from the Winograd path.
-///
-/// # Panics
-///
-/// Panics when `input`/`kernels` do not match `plan.shape` (batch is
-/// free; channel, kernel-size and spatial extents must agree), or when
-/// a hand-built plan pairs a Winograd engine with a strided shape —
-/// `Schedule` lowering never produces such a plan, but `LayerPlan`'s
-/// fields are public.
-pub fn execute_plan<T: Scalar>(
-    plan: &LayerPlan,
-    input: &Tensor4<T>,
-    kernels: &Tensor4<T>,
-    config: &ExecConfig,
-) -> Result<Tensor4<T>, TransformError> {
-    let is = input.shape();
-    let ks = kernels.shape();
-    let s = plan.shape;
-    assert_eq!((is.c, is.h, is.w), (s.c, s.h, s.w), "input does not match plan '{}'", plan.layer);
-    assert_eq!(
-        (ks.n, ks.c, ks.h, ks.w),
-        (s.k, s.c, s.r, s.r),
-        "kernels do not match plan '{}'",
-        plan.layer
-    );
-    match plan.engine {
-        EnginePlan::Winograd(params) => {
-            assert_eq!(s.stride, 1, "Winograd plan '{}' requires unit stride", plan.layer);
-            winograd_convolve(params, input, kernels, s.pad, config.threads)
-        }
-        EnginePlan::Fft { n } => {
-            assert_eq!(s.stride, 1, "FFT plan '{}' requires unit stride", plan.layer);
-            Ok(crate::fft::PreparedFft::new(n, kernels).execute(input, s.pad, config.threads))
-        }
-        EnginePlan::Spatial => {
-            Ok(spatial_convolve_mt(input, kernels, s.pad, s.stride, config.threads))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PreparedSpatial;
     use wino_baselines::{spatial_convolve, spatial_convolve_strided};
-    use wino_core::{fast_convolve_layer, FastKernel};
     use wino_tensor::{ErrorStats, SplitMix64};
 
     fn random_pair(seed: u64, shape: Shape4, k: usize, r: usize) -> (Tensor4<f32>, Tensor4<f32>) {
@@ -622,8 +507,8 @@ mod tests {
         (input, kernels)
     }
 
-    fn params(m: usize, r: usize) -> WinogradParams {
-        WinogradParams::new(m, r).unwrap()
+    fn winograd(m: usize, r: usize, kernels: &Tensor4<f32>) -> PreparedWinograd<f32> {
+        PreparedWinograd::new(WinogradParams::new(m, r).unwrap(), kernels).unwrap()
     }
 
     #[test]
@@ -631,7 +516,7 @@ mod tests {
         let (input, kernels) = random_pair(1, Shape4 { n: 2, c: 3, h: 11, w: 13 }, 4, 3);
         let oracle = spatial_convolve(&input, &kernels, 1);
         for m in [2usize, 3, 4, 6] {
-            let got = winograd_convolve(params(m, 3), &input, &kernels, 1, 2).unwrap();
+            let got = winograd(m, 3, &kernels).execute(&input, 1, 2);
             assert_eq!(got.shape(), oracle.shape());
             let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
             assert!(stats.within_abs(1e-4), "m={m}: {stats}");
@@ -642,30 +527,23 @@ mod tests {
     fn winograd_matches_oracle_for_5x5_kernels_unpadded() {
         let (input, kernels) = random_pair(2, Shape4 { n: 1, c: 2, h: 10, w: 9 }, 3, 5);
         let oracle = spatial_convolve(&input, &kernels, 0);
-        let got = winograd_convolve(params(2, 5), &input, &kernels, 0, 3).unwrap();
+        let got = winograd(2, 5, &kernels).execute(&input, 0, 3);
         let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
-        assert!(stats.within_abs(1e-4), "{stats}");
-    }
-
-    #[test]
-    fn winograd_matches_hand_scheduled_fast_path() {
-        let (input, kernels) = random_pair(3, Shape4 { n: 1, c: 4, h: 12, w: 12 }, 5, 3);
-        let fast = fast_convolve_layer(FastKernel::F4x4, &input, &kernels, 1);
-        let got = winograd_convolve(params(4, 3), &input, &kernels, 1, 2).unwrap();
-        let stats = ErrorStats::between(got.as_slice(), fast.as_slice());
         assert!(stats.within_abs(1e-4), "{stats}");
     }
 
     #[test]
     fn thread_count_never_changes_a_bit() {
         let (input, kernels) = random_pair(4, Shape4 { n: 2, c: 3, h: 9, w: 14 }, 4, 3);
-        let one = winograd_convolve(params(4, 3), &input, &kernels, 1, 1).unwrap();
+        let bank = winograd(4, 3, &kernels);
+        let one = bank.execute(&input, 1, 1);
         for threads in [2usize, 3, 5, 8] {
-            let multi = winograd_convolve(params(4, 3), &input, &kernels, 1, threads).unwrap();
+            let multi = bank.execute(&input, 1, threads);
             assert_eq!(one.as_slice(), multi.as_slice(), "threads={threads}");
         }
-        let s1 = spatial_convolve_mt(&input, &kernels, 1, 1, 1);
-        let s4 = spatial_convolve_mt(&input, &kernels, 1, 1, 4);
+        let spatial = PreparedSpatial::new(&kernels, 1);
+        let s1 = spatial.execute(&input, 1, 1);
+        let s4 = spatial.execute(&input, 1, 4);
         assert_eq!(s1.as_slice(), s4.as_slice());
     }
 
@@ -674,26 +552,9 @@ mod tests {
         let (input, kernels) = random_pair(5, Shape4 { n: 2, c: 3, h: 9, w: 8 }, 4, 3);
         for (pad, stride) in [(0usize, 1usize), (1, 1), (1, 2), (2, 3)] {
             let oracle = spatial_convolve_strided(&input, &kernels, pad, stride);
-            let got = spatial_convolve_mt(&input, &kernels, pad, stride, 3);
+            let got = PreparedSpatial::new(&kernels, stride).execute(&input, pad, 3);
             assert_eq!(oracle.as_slice(), got.as_slice(), "pad={pad} stride={stride}");
         }
-    }
-
-    #[test]
-    fn execute_plan_dispatches_both_engines() {
-        let shape = wino_core::ConvShape { h: 8, w: 8, c: 2, k: 3, r: 3, stride: 1, pad: 1 };
-        let (input, kernels) = random_pair(6, Shape4 { n: 1, c: 2, h: 8, w: 8 }, 3, 3);
-        let cfg = ExecConfig::with_threads(2);
-        let wino = crate::LayerPlan {
-            layer: "l".into(),
-            shape,
-            engine: EnginePlan::Winograd(params(2, 3)),
-        };
-        let spat = crate::LayerPlan { layer: "l".into(), shape, engine: EnginePlan::Spatial };
-        let a = execute_plan(&wino, &input, &kernels, &cfg).unwrap();
-        let b = execute_plan(&spat, &input, &kernels, &cfg).unwrap();
-        let stats = ErrorStats::between(a.as_slice(), b.as_slice());
-        assert!(stats.within_abs(1e-4), "{stats}");
     }
 
     #[test]
@@ -701,23 +562,10 @@ mod tests {
         // 7x5 output with m=4 leaves partial tiles on both axes.
         let (input, kernels) = random_pair(7, Shape4 { n: 1, c: 2, h: 9, w: 7 }, 2, 3);
         let oracle = spatial_convolve(&input, &kernels, 0);
-        let got = winograd_convolve(params(4, 3), &input, &kernels, 0, 2).unwrap();
+        let got = winograd(4, 3, &kernels).execute(&input, 0, 2);
         assert_eq!(got.shape(), oracle.shape());
         let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
         assert!(stats.within_abs(1e-4), "{stats}");
-    }
-
-    #[test]
-    #[should_panic(expected = "requires unit stride")]
-    fn hand_built_strided_winograd_plan_panics() {
-        let shape = wino_core::ConvShape { h: 8, w: 8, c: 2, k: 3, r: 3, stride: 2, pad: 1 };
-        let (input, kernels) = random_pair(8, Shape4 { n: 1, c: 2, h: 8, w: 8 }, 3, 3);
-        let plan = crate::LayerPlan {
-            layer: "bad".into(),
-            shape,
-            engine: EnginePlan::Winograd(params(2, 3)),
-        };
-        let _ = execute_plan(&plan, &input, &kernels, &ExecConfig::with_threads(1));
     }
 
     #[test]
@@ -731,6 +579,6 @@ mod tests {
     fn channel_mismatch_panics() {
         let input = Tensor4::<f32>::zeros(Shape4 { n: 1, c: 2, h: 8, w: 8 });
         let kernels = Tensor4::<f32>::zeros(Shape4 { n: 1, c: 3, h: 3, w: 3 });
-        let _ = winograd_convolve(params(2, 3), &input, &kernels, 1, 1);
+        let _ = winograd(2, 3, &kernels).execute(&input, 1, 1);
     }
 }

@@ -26,12 +26,19 @@
 //! ([`Schedule::homogeneous`]). A [`NetworkExecutor`] then runs the whole
 //! network and can verify itself against the spatial oracle.
 //!
-//! Every kernel is generic over [`wino_tensor::Scalar`], so the same
+//! There is one way to run a layer: a [`PreparedPlan`] lowers a
+//! [`LayerPlan`] and its kernel bank, once, to one of the prepared
+//! [`ConvBackend`]s ([`PreparedWinograd`], [`PreparedFft`],
+//! [`PreparedSpatial`]) and then runs any number of batches through it.
+//! The executor, the serving subsystem and the benchmarks all execute
+//! through it.
+//!
+//! Every engine is generic over [`wino_tensor::Scalar`], so the same
 //! code path runs the paper's `f32` datapath and the saturating
 //! `Fixed<FRAC>` Q-format arithmetic of the quantization study: a
 //! [`QuantConfig`] lowered through [`Schedule::with_quant`] assigns each
-//! layer a [`Precision`], and the executor dispatches fixed-point layers
-//! through [`execute_plan_quantized`] (DSP-block-style saturation
+//! layer a [`Precision`], and a fixed-point layer's [`PreparedPlan`]
+//! runs its engine in `Fixed<FRAC>` (DSP-block-style saturation
 //! everywhere, `f32` in and out so errors are measurable against the
 //! float oracle, analytically bounded by [`quant_error_bound`]).
 //!
@@ -70,11 +77,7 @@ pub use backend::{ConvBackend, PreparedSpatial};
 pub use continuous::{run_layers_admitting, Boundary};
 pub use executor::{LayerReport, NetworkExecutor, NetworkReport, VerifyError};
 pub use fft::{fft_error_bound, PreparedFft};
-pub use layer::{
-    execute_plan, spatial_convolve_mt, winograd_convolve, ExecConfig, PreparedWinograd,
-};
+pub use layer::{ExecConfig, PreparedWinograd};
 pub use prepared::PreparedPlan;
-pub use quant::{
-    execute_plan_quantized, quant_error_bound, Precision, QuantConfig, QuantError, SUPPORTED_FRAC,
-};
+pub use quant::{quant_error_bound, Precision, QuantConfig, QuantError, SUPPORTED_FRAC};
 pub use schedule::{EnginePlan, LayerPlan, Schedule, ScheduleError};

@@ -1,14 +1,11 @@
 //! Reusable per-layer execution closures with pre-transformed kernel
-//! banks.
+//! banks — the one way this crate runs a layer.
 //!
-//! [`execute_plan`](crate::execute_plan) regenerates the Winograd
-//! transform set and re-transforms the whole kernel bank on every call
-//! — the right trade for a one-shot run, pure overhead for anything
-//! that executes the same layer repeatedly (an executor timing loop, or
-//! the serving subsystem pushing thousands of requests through one
-//! model). A [`PreparedPlan`] pays that cost once at construction by
-//! lowering the engine choice to a prepared
-//! [`ConvBackend`](crate::ConvBackend):
+//! Regenerating the Winograd transform set and re-transforming (and,
+//! for fixed-point layers, re-quantizing) the kernel bank costs the same
+//! no matter how many images pass through a layer. A [`PreparedPlan`]
+//! pays that cost once at construction by lowering the engine choice to
+//! a prepared [`ConvBackend`](crate::ConvBackend):
 //!
 //! * Winograd layers cache a [`PreparedWinograd`] bank (float) or a
 //!   monomorphized `PreparedWinograd<Fixed<FRAC>>` plus the quantized
@@ -33,10 +30,10 @@
 //! The closure is type-erased behind `Arc<dyn Fn … + Send + Sync>`, so
 //! a prepared plan is cheap to clone and can be shared across serving
 //! worker threads. Running a prepared plan is **bitwise identical** to
-//! the corresponding one-shot [`execute_plan`] /
-//! [`execute_plan_quantized`](crate::execute_plan_quantized) call — a
-//! property the tests pin — because preparation reorders no arithmetic;
-//! it only moves the bank transform out of the loop.
+//! running the backend it wraps directly (on pre-quantized tensors, for
+//! fixed-point layers) — a property the tests pin — because the plan
+//! adds no arithmetic beyond quantizing the input and dequantizing the
+//! output.
 
 use crate::backend::{ConvBackend, PreparedSpatial};
 use crate::fft::PreparedFft;
@@ -177,10 +174,9 @@ impl PreparedPlan {
 
     /// Executes the prepared layer on `input` (batch is free; channel
     /// and spatial extents must match the prepared geometry) across
-    /// `threads` workers. Bitwise identical to the one-shot
-    /// [`execute_plan`](crate::execute_plan) /
-    /// [`execute_plan_quantized`](crate::execute_plan_quantized) on the
-    /// same plan, kernels and precision.
+    /// `threads` workers. Bitwise identical to the prepared backend the
+    /// plan lowers to, run directly on the same (quantized) kernels and
+    /// input.
     ///
     /// # Panics
     ///
@@ -246,7 +242,6 @@ impl PreparedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{execute_plan, execute_plan_quantized, ExecConfig};
     use wino_core::WinogradParams;
     use wino_tensor::{Shape4, SplitMix64};
 
@@ -271,29 +266,66 @@ mod tests {
     #[test]
     fn prepared_float_is_bitwise_the_one_shot_path() {
         let (wino, spat, input, kernels) = fixture(1);
-        let cfg = ExecConfig::with_threads(3);
-        for plan in [&wino, &spat] {
+        let threads = 3;
+        let params = WinogradParams::new(2, 3).unwrap();
+        // One shot: a backend prepared for this single call.
+        let cases = [
+            (
+                &wino,
+                "F(2x2, 3x3)",
+                PreparedWinograd::new(params, &kernels).unwrap().execute(&input, 1, threads),
+            ),
+            (&spat, "spatial", PreparedSpatial::new(&kernels, 1).execute(&input, 1, threads)),
+        ];
+        for (plan, label, one_shot) in cases {
             let prepared = PreparedPlan::new(plan, Precision::Float, &kernels).unwrap();
-            let one_shot = execute_plan(plan, &input, &kernels, &cfg).unwrap();
+            assert_eq!(prepared.label(), label);
             // Repeated runs reuse the cached bank and stay identical.
             for _ in 0..2 {
-                let got = prepared.run(&input, cfg.threads);
-                assert_eq!(got.as_slice(), one_shot.as_slice(), "{}", prepared.label());
+                assert_eq!(
+                    prepared.run(&input, threads).as_slice(),
+                    one_shot.as_slice(),
+                    "{label}"
+                );
             }
         }
     }
 
     #[test]
-    fn prepared_quantized_is_bitwise_the_one_shot_path() {
+    fn prepared_fft_is_bitwise_the_one_shot_path() {
+        let (wino, _, input, kernels) = fixture(1);
+        let fft =
+            LayerPlan { shape: wino.shape, layer: "l".into(), engine: EnginePlan::Fft { n: 8 } };
+        let threads = 3;
+        let prepared = PreparedPlan::new(&fft, Precision::Float, &kernels).unwrap();
+        assert_eq!(prepared.label(), "FFT(8)");
+        let one_shot = PreparedFft::new(8, &kernels).execute(&input, 1, threads);
+        for _ in 0..2 {
+            assert_eq!(prepared.run(&input, threads).as_slice(), one_shot.as_slice());
+        }
+    }
+
+    #[test]
+    fn prepared_fixed_is_bitwise_the_direct_fixed_backends() {
+        type F = Fixed<10>;
         let (wino, spat, input, kernels) = fixture(1);
-        let cfg = ExecConfig::with_threads(2);
-        for plan in [&wino, &spat] {
+        let (qi, qk) = (input.map(F::from_f32), kernels.map(F::from_f32));
+        let threads = 2;
+        let params = WinogradParams::new(2, 3).unwrap();
+        let cases = [
+            (
+                &wino,
+                "F(2x2, 3x3) Q22.10",
+                PreparedWinograd::new(params, &qk).unwrap().execute(&qi, 1, threads),
+            ),
+            (&spat, "spatial Q22.10", PreparedSpatial::new(&qk, 1).execute(&qi, 1, threads)),
+        ];
+        for (plan, label, direct) in cases {
             let prepared =
                 PreparedPlan::new(plan, Precision::Fixed { frac: 10 }, &kernels).unwrap();
-            let one_shot = execute_plan_quantized(plan, &input, &kernels, &cfg, 10).unwrap();
-            let got = prepared.run(&input, cfg.threads);
-            assert_eq!(got.as_slice(), one_shot.as_slice(), "{}", prepared.label());
-            assert!(prepared.label().contains("Q22.10"));
+            assert_eq!(prepared.label(), label);
+            let dequantized = direct.map(|q| q.to_f32());
+            assert_eq!(prepared.run(&input, threads).as_slice(), dequantized.as_slice(), "{label}");
         }
     }
 
@@ -317,53 +349,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_bank_beats_retransforming_every_call() {
-        // The point of preparation: repeated runs skip exact-rational
-        // transform generation and the whole-bank kernel transform.
-        // On a small layer those dominate, so the margin is enormous —
-        // the assertion only requires the cached path to win at all,
-        // which holds on any scheduler-noisy CI box.
-        let (wino, _, input, kernels) = fixture(1);
-        let cfg = ExecConfig::with_threads(1);
-        let reps = 5;
-        let prepared = PreparedPlan::new(&wino, Precision::Float, &kernels).unwrap();
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = prepared.run(&input, cfg.threads);
-        }
-        let cached = start.elapsed();
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = execute_plan(&wino, &input, &kernels, &cfg).unwrap();
-        }
-        let retransform = start.elapsed();
-        assert!(
-            cached < retransform,
-            "cached {cached:?} should beat re-transforming {retransform:?}"
-        );
-    }
-
-    #[test]
     fn debug_and_shape_are_exposed() {
         let (wino, _, _, kernels) = fixture(1);
         let prepared = PreparedPlan::new(&wino, Precision::Float, &kernels).unwrap();
         assert!(format!("{prepared:?}").contains("F(2x2, 3x3)"));
         assert_eq!(prepared.shape().k, 4);
-    }
-
-    #[test]
-    fn prepared_fft_is_bitwise_the_one_shot_path() {
-        let (wino, _, input, kernels) = fixture(1);
-        let fft =
-            LayerPlan { shape: wino.shape, layer: "l".into(), engine: EnginePlan::Fft { n: 8 } };
-        let cfg = ExecConfig::with_threads(3);
-        let prepared = PreparedPlan::new(&fft, Precision::Float, &kernels).unwrap();
-        assert_eq!(prepared.label(), "FFT(8)");
-        let one_shot = execute_plan(&fft, &input, &kernels, &cfg).unwrap();
-        for _ in 0..2 {
-            let got = prepared.run(&input, cfg.threads);
-            assert_eq!(got.as_slice(), one_shot.as_slice());
-        }
     }
 
     #[test]

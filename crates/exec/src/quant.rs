@@ -6,12 +6,13 @@
 //! al.'s accelerator) runs 16-bit fixed point. This module closes that
 //! gap: a [`QuantConfig`] assigns every layer of a schedule a
 //! [`Precision`] — `f32`, or a `Q(32−FRAC).FRAC` fixed-point format —
-//! and [`execute_plan_quantized`] runs the layer's engine with
-//! `Fixed<FRAC>` arithmetic end to end (transform matrices, data,
-//! kernels, transform-domain products and accumulators all quantized,
-//! every op saturating like an FPGA DSP block), returning the
-//! dequantized `f32` result so callers can measure the error against
-//! the float oracle. The fixed-point path rides the same packed GEMM
+//! and a [`PreparedPlan`](crate::PreparedPlan) at a fixed-point
+//! precision runs the layer's engine with `Fixed<FRAC>` arithmetic end
+//! to end (transform matrices, data, kernels, transform-domain products
+//! and accumulators all quantized, every op saturating like an FPGA DSP
+//! block), returning the dequantized `f32` result so callers can
+//! measure the error against the float oracle. The fixed-point path
+//! rides the same packed GEMM
 //! micro-kernel ([`crate::gemm`]) as the float path — the kernel is
 //! generic over `Scalar`, so each `Fixed<FRAC>` width monomorphizes
 //! its own saturating register-tiled multiply.
@@ -20,12 +21,11 @@
 //! quantization study sweeps 6..=14; 8 approximates the dynamic range
 //! of Qiu et al.'s 16-bit format once accumulation headroom is
 //! accounted for). Dispatch from the runtime `frac` value to the
-//! `Fixed<FRAC>` monomorphization happens in [`execute_plan_quantized`].
+//! `Fixed<FRAC>` monomorphization happens once, in
+//! [`PreparedPlan::new`](crate::PreparedPlan::new).
 
-use crate::{execute_plan, ExecConfig, LayerPlan};
 use std::fmt;
-use wino_core::{TransformError, TransformSet, WinogradParams};
-use wino_tensor::{Fixed, Tensor4};
+use wino_core::{TransformSet, WinogradParams};
 
 /// Fractional widths [`QuantConfig`] accepts: wide enough for the
 /// FRAC ∈ 6..=14 study sweep plus margin on both sides, narrow enough
@@ -265,39 +265,6 @@ macro_rules! with_fixed {
 }
 pub(crate) use with_fixed;
 
-/// Executes one layer plan on a `Q(32−frac).frac` fixed-point datapath:
-/// quantizes the `f32` input and kernel bank, runs the plan's engine
-/// entirely in saturating `Fixed<FRAC>` arithmetic (transform matrices
-/// included), and dequantizes the result back to `f32`.
-///
-/// This is the DSP-block model of the quantization study: the returned
-/// tensor differs from [`execute_plan`] at `f32` by the layer's
-/// quantization noise, which [`quant_error_bound`] bounds analytically.
-///
-/// # Errors
-///
-/// Propagates [`TransformError`] from the Winograd path.
-///
-/// # Panics
-///
-/// Panics when `frac` is outside [`SUPPORTED_FRAC`] (a validated
-/// [`QuantConfig`] never holds such a width), or on the same shape
-/// mismatches as [`execute_plan`].
-pub fn execute_plan_quantized(
-    plan: &LayerPlan,
-    input: &Tensor4<f32>,
-    kernels: &Tensor4<f32>,
-    config: &ExecConfig,
-    frac: u32,
-) -> Result<Tensor4<f32>, TransformError> {
-    with_fixed!(frac, F => {
-        let qi = input.map(F::from_f32);
-        let qk = kernels.map(F::from_f32);
-        let out = execute_plan(plan, &qi, &qk, config)?;
-        Ok(out.map(|q| q.to_f32()))
-    })
-}
-
 /// Maximum absolute row 1-norm of an exact transform matrix.
 fn row_norm(matrix: &wino_tensor::Tensor2<wino_tensor::Ratio>) -> f64 {
     (0..matrix.rows())
@@ -359,9 +326,9 @@ pub fn quant_error_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EnginePlan;
+    use crate::{EnginePlan, LayerPlan, PreparedPlan};
     use wino_baselines::spatial_convolve;
-    use wino_tensor::{ErrorStats, Shape4, SplitMix64};
+    use wino_tensor::{ErrorStats, Shape4, SplitMix64, Tensor4};
 
     #[test]
     fn uniform_and_per_layer_validate_widths() {
@@ -401,12 +368,12 @@ mod tests {
             rng.uniform_f32(-0.4, 0.4)
         });
         let oracle = spatial_convolve(&input, &kernels, 1);
-        let cfg = ExecConfig::with_threads(2);
         for engine in
             [EnginePlan::Winograd(WinogradParams::new(2, 3).unwrap()), EnginePlan::Spatial]
         {
             let plan = LayerPlan { layer: "l".into(), shape, engine };
-            let out = execute_plan_quantized(&plan, &input, &kernels, &cfg, 12).unwrap();
+            let prepared = PreparedPlan::new(&plan, Precision::Fixed { frac: 12 }, &kernels);
+            let out = prepared.unwrap().run(&input, 2);
             let stats = ErrorStats::between(out.as_slice(), oracle.as_slice());
             assert!(stats.within_abs(2e-2), "{engine:?}: {stats}");
         }
@@ -429,8 +396,7 @@ mod tests {
     fn unsupported_frac_dispatch_panics() {
         let shape = wino_core::ConvShape::same_padded(4, 4, 1, 1, 3);
         let plan = LayerPlan { layer: "l".into(), shape, engine: EnginePlan::Spatial };
-        let input = Tensor4::zeros(Shape4 { n: 1, c: 1, h: 4, w: 4 });
         let kernels = Tensor4::zeros(Shape4 { n: 1, c: 1, h: 3, w: 3 });
-        let _ = execute_plan_quantized(&plan, &input, &kernels, &ExecConfig::with_threads(1), 99);
+        let _ = PreparedPlan::new(&plan, Precision::Fixed { frac: 17 }, &kernels);
     }
 }

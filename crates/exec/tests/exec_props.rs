@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use wino_baselines::spatial_convolve_strided;
 use wino_core::{ConvShape, WinogradParams};
 use wino_exec::{
-    execute_plan, spatial_convolve_mt, winograd_convolve, EnginePlan, ExecConfig, LayerPlan,
-    Precision, PreparedPlan,
+    EnginePlan, LayerPlan, Precision, PreparedPlan, PreparedSpatial, PreparedWinograd,
 };
 use wino_tensor::{ErrorStats, Fixed, Shape4, SplitMix64, Tensor4};
 
@@ -46,8 +45,8 @@ proptest! {
         threads in 1usize..5,
     ) {
         let (input, kernels) = random_pair(seed, Shape4 { n, c, h, w }, k, 3);
-        let params = WinogradParams::new(m, 3).unwrap();
-        let got = winograd_convolve(params, &input, &kernels, pad, threads).unwrap();
+        let bank = PreparedWinograd::new(WinogradParams::new(m, 3).unwrap(), &kernels).unwrap();
+        let got = bank.execute(&input, pad, threads);
         let oracle = spatial_convolve_strided(&input, &kernels, pad, 1);
         prop_assert_eq!(got.shape(), oracle.shape());
         let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
@@ -81,7 +80,7 @@ proptest! {
         let (input, kernels) = random_pair(seed, Shape4 { n, c, h, w }, k, r);
         let oracle = spatial_convolve_strided(&input, &kernels, pad, stride);
         prop_assert_eq!((oracle.shape().h, oracle.shape().w), (out_h, out_w));
-        let direct = spatial_convolve_mt(&input, &kernels, pad, stride, threads);
+        let direct = PreparedSpatial::new(&kernels, stride).execute(&input, pad, threads);
         prop_assert_eq!(direct.as_slice(), oracle.as_slice());
 
         let plan = LayerPlan {
@@ -89,11 +88,9 @@ proptest! {
             shape: ConvShape { h, w, c, k, r, stride, pad },
             engine: EnginePlan::Spatial,
         };
-        let via_plan =
-            execute_plan(&plan, &input, &kernels, &ExecConfig::with_threads(threads)).unwrap();
-        prop_assert_eq!(via_plan.as_slice(), oracle.as_slice());
-
         let prepared = PreparedPlan::new(&plan, Precision::Float, &kernels).unwrap();
+        let via_plan = prepared.run(&input, threads);
+        prop_assert_eq!(via_plan.as_slice(), oracle.as_slice());
         let lanes: Vec<Tensor4<f32>> = (0..n).map(|i| image(&input, i)).collect();
         for (i, out) in prepared.run_lanes(&lanes, threads).iter().enumerate() {
             let (solo, expected) = (prepared.run(&lanes[i], threads), image(&oracle, i));
@@ -123,7 +120,7 @@ proptest! {
         let kernels = kernels.map(|x| x * scale);
         let (qi, qk) = (input.map(Fixed::<10>::from_f32), kernels.map(Fixed::<10>::from_f32));
         let oracle = spatial_convolve_strided(&qi, &qk, pad, stride);
-        let direct = spatial_convolve_mt(&qi, &qk, pad, stride, threads);
+        let direct = PreparedSpatial::new(&qk, stride).execute(&qi, pad, threads);
         prop_assert_eq!(direct.as_slice(), oracle.as_slice());
 
         let plan = LayerPlan {
@@ -147,9 +144,9 @@ proptest! {
         threads in 2usize..7,
     ) {
         let (input, kernels) = random_pair(seed, Shape4 { n: 2, c: 2, h, w }, 3, 3);
-        let params = WinogradParams::new(m, 3).unwrap();
-        let one = winograd_convolve(params, &input, &kernels, 1, 1).unwrap();
-        let many = winograd_convolve(params, &input, &kernels, 1, threads).unwrap();
+        let bank = PreparedWinograd::new(WinogradParams::new(m, 3).unwrap(), &kernels).unwrap();
+        let one = bank.execute(&input, 1, 1);
+        let many = bank.execute(&input, 1, threads);
         prop_assert_eq!(one.as_slice(), many.as_slice());
     }
 }

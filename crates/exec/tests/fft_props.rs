@@ -1,14 +1,14 @@
 //! Property tests for the prepared FFT backend: on random layer
 //! geometries the overlap–save engine must match the `wino_baselines`
 //! spatial oracle within the analytic [`fft_error_bound`] tolerance,
-//! must be bitwise thread-count-invariant, and must be bitwise
-//! identical between the prepared and one-shot plan paths.
+//! must be bitwise thread-count-invariant, and a prepared FFT plan must
+//! be bitwise the backend it lowers to.
 
 use proptest::prelude::*;
 use wino_baselines::spatial_convolve_strided;
 use wino_core::ConvShape;
 use wino_exec::{
-    execute_plan, fft_error_bound, ConvBackend, EnginePlan, ExecConfig, LayerPlan, PreparedFft,
+    fft_error_bound, ConvBackend, EnginePlan, LayerPlan, Precision, PreparedFft, PreparedPlan,
 };
 use wino_tensor::{ErrorStats, Shape4, SplitMix64, Tensor4};
 
@@ -74,7 +74,7 @@ proptest! {
     }
 
     /// The prepared backend (directly and as a trait object) is bitwise
-    /// the one-shot plan dispatcher on FFT plans.
+    /// the prepared plan on FFT plans.
     #[test]
     fn prepared_fft_is_bitwise_the_plan_path(
         seed in 0u64..1_000_000,
@@ -89,13 +89,13 @@ proptest! {
             shape: ConvShape { h, w: h, c, k, r: 3, stride: 1, pad: 1 },
             engine: EnginePlan::Fft { n: 8 },
         };
-        let one_shot =
-            execute_plan(&plan, &input, &kernels, &ExecConfig::with_threads(threads)).unwrap();
+        let via_plan =
+            PreparedPlan::new(&plan, Precision::Float, &kernels).unwrap().run(&input, threads);
         let bank = PreparedFft::new(8, &kernels);
         let direct = bank.execute(&input, 1, threads);
-        prop_assert_eq!(direct.as_slice(), one_shot.as_slice());
+        prop_assert_eq!(direct.as_slice(), via_plan.as_slice());
         let boxed: Box<dyn ConvBackend<f32>> = Box::new(bank);
         let via_trait = boxed.execute(&input, 1, threads);
-        prop_assert_eq!(via_trait.as_slice(), one_shot.as_slice());
+        prop_assert_eq!(via_trait.as_slice(), via_plan.as_slice());
     }
 }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use wino_core::WinogradParams;
 use wino_exec::gemm::{gemm, gemm_naive, gemm_packed_a, pack_a, MR, NR};
-use wino_exec::winograd_convolve;
+use wino_exec::PreparedWinograd;
 use wino_tensor::{Fixed, Shape4, SplitMix64, Tensor4};
 
 fn filled(len: usize, seed: u64) -> Vec<f32> {
@@ -103,9 +103,9 @@ proptest! {
         let kernels = Tensor4::from_fn(Shape4 { n: 3, c: 3, h: 3, w: 3 }, |_, _, _, _| {
             Fixed::<10>::from_f32(rng.uniform_f32(-0.5, 0.5))
         });
-        let params = WinogradParams::new(m, 3).unwrap();
-        let one = winograd_convolve(params, &input, &kernels, 1, 1).unwrap();
-        let many = winograd_convolve(params, &input, &kernels, 1, threads).unwrap();
+        let bank = PreparedWinograd::new(WinogradParams::new(m, 3).unwrap(), &kernels).unwrap();
+        let one = bank.execute(&input, 1, 1);
+        let many = bank.execute(&input, 1, threads);
         prop_assert_eq!(one.as_slice(), many.as_slice());
     }
 }
@@ -125,8 +125,8 @@ fn channels_and_kernels_smaller_than_the_micro_tile() {
     });
     let oracle = wino_baselines::spatial_convolve(&input, &kernels, 1);
     for m in [2usize, 4] {
-        let got =
-            winograd_convolve(WinogradParams::new(m, 3).unwrap(), &input, &kernels, 1, 2).unwrap();
+        let bank = PreparedWinograd::new(WinogradParams::new(m, 3).unwrap(), &kernels).unwrap();
+        let got = bank.execute(&input, 1, 2);
         let stats = wino_tensor::ErrorStats::between(got.as_slice(), oracle.as_slice());
         assert!(stats.within_abs(1e-4), "m={m}: {stats}");
     }
@@ -147,8 +147,8 @@ fn single_tile_images_execute() {
     // F(2x2) tile exactly, and a ragged partial tile for F(4x4).
     let oracle = wino_baselines::spatial_convolve(&input, &kernels, 0);
     for m in [2usize, 4] {
-        let got =
-            winograd_convolve(WinogradParams::new(m, 3).unwrap(), &input, &kernels, 0, 3).unwrap();
+        let bank = PreparedWinograd::new(WinogradParams::new(m, 3).unwrap(), &kernels).unwrap();
+        let got = bank.execute(&input, 0, 3);
         assert_eq!(got.shape(), oracle.shape());
         let stats = wino_tensor::ErrorStats::between(got.as_slice(), oracle.as_slice());
         assert!(stats.within_abs(1e-4), "m={m}: {stats}");
@@ -161,8 +161,8 @@ fn single_tile_images_execute() {
 fn empty_batch_produces_an_empty_output() {
     let input = Tensor4::<f32>::zeros(Shape4 { n: 0, c: 3, h: 8, w: 8 });
     let kernels = Tensor4::<f32>::zeros(Shape4 { n: 2, c: 3, h: 3, w: 3 });
-    let got = winograd_convolve(WinogradParams::new(2, 3).unwrap(), &input, &kernels, 1, 4)
-        .expect("empty batch executes");
+    let bank = PreparedWinograd::new(WinogradParams::new(2, 3).unwrap(), &kernels).unwrap();
+    let got = bank.execute(&input, 1, 4);
     assert_eq!(got.shape(), Shape4 { n: 0, c: 2, h: 8, w: 8 });
     assert!(got.as_slice().is_empty());
 }

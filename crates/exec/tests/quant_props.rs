@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use wino_core::{ConvShape, WinogradParams};
 use wino_exec::{
-    execute_plan, execute_plan_quantized, quant_error_bound, winograd_convolve, EnginePlan,
-    ExecConfig, LayerPlan, NetworkExecutor, QuantConfig, Schedule,
+    quant_error_bound, EnginePlan, ExecConfig, LayerPlan, NetworkExecutor, Precision, PreparedPlan,
+    PreparedWinograd, QuantConfig, Schedule,
 };
 use wino_models::{shrink, vgg16d};
 use wino_tensor::{ErrorStats, Fixed, Shape4, SplitMix64, Tensor4};
@@ -47,9 +47,9 @@ proptest! {
             engine: EnginePlan::Winograd(WinogradParams::new(m, 3).unwrap()),
         };
         let (input, kernels) = random_pair(seed, Shape4 { n: 1, c, h, w }, k);
-        let cfg = ExecConfig::with_threads(2);
-        let float = execute_plan(&plan, &input, &kernels, &cfg).unwrap();
-        let fixed = execute_plan_quantized(&plan, &input, &kernels, &cfg, frac).unwrap();
+        let run = |precision| PreparedPlan::new(&plan, precision, &kernels).unwrap().run(&input, 2);
+        let float = run(Precision::Float);
+        let fixed = run(Precision::Fixed { frac });
         let stats = ErrorStats::between(fixed.as_slice(), float.as_slice());
         let bound = quant_error_bound(WinogradParams::new(m, 3).unwrap(), c, frac, 1.0, 0.5);
         prop_assert!(
@@ -65,11 +65,11 @@ proptest! {
     #[test]
     fn fixed_execution_is_thread_count_invariant(seed in 0u64..1_000, threads in 2usize..6) {
         let (input, kernels) = random_pair(seed, Shape4 { n: 1, c: 3, h: 9, w: 11 }, 2);
-        let params = WinogradParams::new(2, 3).unwrap();
         let qi = input.map(Fixed::<10>::from_f32);
         let qk = kernels.map(Fixed::<10>::from_f32);
-        let one = winograd_convolve(params, &qi, &qk, 1, 1).unwrap();
-        let many = winograd_convolve(params, &qi, &qk, 1, threads).unwrap();
+        let bank = PreparedWinograd::new(WinogradParams::new(2, 3).unwrap(), &qk).unwrap();
+        let one = bank.execute(&qi, 1, 1);
+        let many = bank.execute(&qi, 1, threads);
         prop_assert_eq!(one.as_slice(), many.as_slice());
     }
 }

@@ -103,9 +103,8 @@ pub use wino_tensor as tensor;
 pub mod prelude {
     pub use wino_baselines::{fft_convolve, im2col_convolve, spatial_convolve};
     pub use wino_core::{
-        canonical_points, cse_optimize, fast_convolve_layer, transform_ops_2d, transform_ops_for,
-        ConvShape, CostModel, FastKernel, TileModel, TransformOps, TransformSet, WinogradAlgorithm,
-        WinogradParams, Workload,
+        canonical_points, cse_optimize, transform_ops_2d, transform_ops_for, ConvShape, CostModel,
+        TileModel, TransformOps, TransformSet, WinogradAlgorithm, WinogradParams, Workload,
     };
     pub use wino_dse::{
         best_design, fft_context_latency_seconds, fig1, fig2, fig3, fig6, pareto_front, sweep_m,
@@ -114,8 +113,7 @@ pub mod prelude {
     };
     pub use wino_engine::{EngineConfig, SimReport, WinogradEngine};
     pub use wino_exec::{
-        execute_plan, execute_plan_quantized, fft_error_bound, quant_error_bound,
-        spatial_convolve_mt, winograd_convolve, ConvBackend, EnginePlan, ExecConfig, LayerPlan,
+        fft_error_bound, quant_error_bound, ConvBackend, EnginePlan, ExecConfig, LayerPlan,
         LayerReport, NetworkExecutor, NetworkReport, Precision, PreparedFft, PreparedPlan,
         PreparedSpatial, PreparedWinograd, QuantConfig, QuantError, Schedule, ScheduleError,
         VerifyError,
