@@ -44,17 +44,32 @@
 //! property the `gemm_props` suite pins — which is what lets the
 //! execution engine keep its bitwise thread-count-invariance guarantee
 //! while going fast.
+//!
+//! ## Instruction-set dispatch
+//!
+//! The crate builds for the baseline x86-64 target (SSE2, 4 `f32`
+//! lanes). [`gemm_packed_a`] checks once per call whether the CPU has
+//! AVX2 and, if so, runs a copy of the same kernel compiled with AVX2
+//! enabled, which turns each `NR`-wide accumulator row into one 8-lane
+//! register. FMA is deliberately not enabled: Rust never contracts
+//! `a * b + c`, so both copies execute the identical multiply-then-add
+//! chain and the determinism contract above holds on every host.
 
 use wino_tensor::Scalar;
 
 /// Rows of one register micro-tile (the `K`/kernel dimension).
 ///
-/// `8 × 8` was picked by sweeping `{4, 6, 8} × {8, 16, 24}` on the
-/// vgg16d-conv3 geometry (see `DESIGN.md`): it fills the sixteen
-/// 4-lane registers of the baseline x86-64 (SSE2) target with
-/// accumulators, which measured fastest despite leaving the operand
-/// loads to flow through the load ports — wider tiles spill, narrower
-/// ones leave multiply throughput idle.
+/// `8 × 8` at `f32` is eight 8-lane accumulators: on an AVX2 host
+/// ([`gemm_packed_a`] dispatches to an AVX2 build of the kernel at run
+/// time) each accumulator row is one 256-bit `ymm` register, leaving
+/// eight of the sixteen for the `B` row and the broadcast `A` values,
+/// so the block never spills. On the SSE2 baseline the same block is
+/// sixteen 4-lane `xmm` accumulators, which also measured fastest in
+/// the `{4, 6, 8} × {8, 16, 24}` sweep on the vgg16d-conv3 geometry
+/// (see `DESIGN.md`). A 16-wide AVX-512 tile (`NR = 16`) ran at 0.2×
+/// of this one: it spills. FMA stays off on purpose — a fused
+/// multiply-add rounds once where `gemm_naive` rounds twice, so it
+/// would change output bits.
 pub const MR: usize = 8;
 
 /// Columns of one register micro-tile (the tile/`T` dimension).
@@ -111,7 +126,10 @@ pub fn pack_a<T: Scalar>(m: usize, k: usize, a: &[T], lda: usize) -> Vec<T> {
 /// over `p = 0..kc`, with `p` strictly increasing — the fixed
 /// accumulation order every caller relies on. `apack`/`bpack` are the
 /// contiguous micro-panels produced by the packing routines.
-#[inline]
+///
+/// Always inlined, so the AVX2 build of [`gemm_packed_a`] compiles it
+/// with 8-lane vectors.
+#[inline(always)]
 fn micro_kernel<T: Scalar>(kc: usize, apack: &[T], bpack: &[T], acc: &mut [[T; NR]; MR]) {
     for p in 0..kc {
         let arow = &apack[p * MR..p * MR + MR];
@@ -135,6 +153,11 @@ fn micro_kernel<T: Scalar>(kc: usize, apack: &[T], bpack: &[T], acc: &mut [[T; N
 /// loop [`KC`]-blocked. Every output element accumulates over
 /// `p = 0..k` in increasing order, so the result is bitwise identical
 /// to [`gemm_naive`] at any shape.
+///
+/// On an x86-64 CPU with AVX2 (checked at run time) the kernel runs as
+/// an AVX2 build with 8-lane vectors; elsewhere it runs the portable
+/// build. Both perform the same multiplies and adds in the same order,
+/// so they produce the same bits.
 ///
 /// # Panics
 ///
@@ -162,6 +185,53 @@ pub fn gemm_packed_a<T: Scalar>(
     }
     assert!((m - 1) * ldc + n <= c.len(), "C exceeds the supplied slice");
 
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_body_avx2` only requires that the CPU supports
+        // AVX2, which was just checked at run time.
+        #[allow(unsafe_code)]
+        unsafe {
+            gemm_body_avx2(m, n, k, apack, b, ldb, c, ldc)
+        };
+        return;
+    }
+    gemm_body(m, n, k, apack, b, ldb, c, ldc);
+}
+
+/// [`gemm_body`] compiled for AVX2, so the micro-kernel runs on 8-lane
+/// `ymm` vectors. No FMA: every element stays the same multiply-then-add
+/// chain as the portable build, so both produce identical bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)] // BLAS-style flat dims-and-strides signature
+fn gemm_body_avx2<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    apack: &[T],
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
+    gemm_body(m, n, k, apack, b, ldb, c, ldc);
+}
+
+/// The portable body of [`gemm_packed_a`], after its argument checks.
+/// Always inlined, so each caller compiles it for its own target
+/// features.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // BLAS-style flat dims-and-strides signature
+fn gemm_body<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    apack: &[T],
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
     // One NR-wide packed B panel, zero-padded on the ragged edge.
     let mut bpack = vec![T::zero(); k.max(1) * NR];
     for j0 in (0..n).step_by(NR) {
@@ -301,6 +371,42 @@ mod tests {
         gemm(m, n, k, &a, k, &b, n, &mut fast, n);
         gemm_naive(m, n, k, &a, k, &b, n, &mut slow, n);
         assert_eq!(fast, slow);
+    }
+
+    /// Runs the dispatched entry point (the AVX2 build on a CPU that
+    /// has it) and the portable body on the same operands and returns
+    /// both outputs' bits. Shapes cover `m, n < MR, NR`, ragged edges on
+    /// both axes, `k` beyond one and two `KC` blocks, and strided `B`/`C`
+    /// whose slack columns must stay untouched.
+    fn dispatched_and_portable<T: Scalar>(conv: impl Fn(f32) -> T, bits: impl Fn(T) -> u64) {
+        for (m, n, k, slack) in [
+            (3, 5, 1, 0),
+            (7, 6, KC + 5, 3),
+            (9, 17, 2 * KC + 1, 1),
+            (16, 8, KC, 0),
+            (13, 70, 130, 2),
+        ] {
+            let (ldb, ldc) = (n + slack, n + 2 * slack);
+            let a: Vec<T> = filled(m * k, 7).into_iter().map(&conv).collect();
+            let b: Vec<T> = filled(k * ldb, 8).into_iter().map(&conv).collect();
+            let apack = pack_a(m, k, &a, k);
+            let mut dispatched: Vec<T> = filled(m * ldc, 9).into_iter().map(&conv).collect();
+            let mut portable = dispatched.clone();
+            gemm_packed_a(m, n, k, &apack, &b, ldb, &mut dispatched, ldc);
+            gemm_body(m, n, k, &apack, &b, ldb, &mut portable, ldc);
+            let dispatched: Vec<u64> = dispatched.into_iter().map(&bits).collect();
+            let portable: Vec<u64> = portable.into_iter().map(&bits).collect();
+            assert_eq!(dispatched, portable, "m={m} n={n} k={k} slack={slack}");
+        }
+    }
+
+    #[test]
+    fn dispatched_kernel_is_bitwise_the_portable_body() {
+        dispatched_and_portable(|x| x, |x: f32| u64::from(x.to_bits()));
+        dispatched_and_portable(f64::from, f64::to_bits);
+        // Scaled so long channel sums saturate: saturating adds do not
+        // commute, so any reordering would show.
+        dispatched_and_portable(|x| Fixed::<10>::from_f32(256.0 * x), |x| x.to_f64().to_bits());
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!    tile panels of a coordinate before moving to the next — the
 //!    two-level (coordinate × panel) decomposition that scales past
 //!    one core without splitting any accumulation.
-//! 3. **Inverse** — one work item per `(image, tile-row)` pair:
-//!    gather each tile's `n²` products, inverse-transform, and emit the
-//!    finished output rows.
+//! 3. **Inverse** — one work item per `(image, tile-row)` pair: read
+//!    the row's products as contiguous per-coordinate runs of the GEMM
+//!    outputs, inverse-transform the whole row structure-of-arrays (one
+//!    vector operation per transform term), and emit the finished
+//!    output rows.
 //!
 //! The spatial path ([`PreparedSpatial`](crate::PreparedSpatial)) runs
 //! on the same GEMM: one
@@ -39,9 +41,10 @@
 //! the tests pin.
 
 use crate::gemm::{gemm_packed_a, pack_a, MR, PANEL_TILES};
+use std::any::TypeId;
 use wino_core::{TransformError, TransformSet, WinogradParams};
 use wino_obs::Span;
-use wino_tensor::{Scalar, Shape4, Tensor4};
+use wino_tensor::{Scalar, Shape4, Tensor2, Tensor4};
 
 /// Execution-engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,6 +113,55 @@ pub(crate) fn run_chunked<T: Send, F: Fn(usize) -> T + Sync>(
         }
     });
     out.into_iter().map(|v| v.expect("every item computed")).collect()
+}
+
+/// `Y = M · X · Mᵀ` for a batch of square blocks stored
+/// structure-of-arrays: `x(a·q + b)` is the run of `X[a][b]` across the
+/// batch's `y.len()` lanes (`M` is `p × q`, `X` is `q × q`), and
+/// `emit(i, j, lanes)` receives `Y[i][j]` for `i < rows`, `j < p`.
+///
+/// The term order is exactly that of the per-block transforms in
+/// `wino_core` (`RealTransforms::apply_kernel` / `apply_inverse`):
+/// `tmp[i][b] = Σ M[i][a] · X[a][b]` over the nonzero `M[i][a]` in
+/// increasing `a`, then `Y[i][j] = Σ tmp[i][b] · M[j][b]` over every
+/// `b`, each sum starting from zero. Every lane therefore gets the
+/// per-block form's bits, in `f32` and in saturating `Fixed`, while each
+/// term runs as one vector operation across the lanes. `tmp` must hold
+/// `rows · q · y.len()` elements.
+fn sandwich_lanes<'x, T: Scalar>(
+    mat: &Tensor2<T>,
+    rows: usize,
+    x: impl Fn(usize) -> &'x [T],
+    tmp: &mut [T],
+    y: &mut [T],
+    mut emit: impl FnMut(usize, usize, &[T]),
+) {
+    let (q, len) = (mat.cols(), y.len());
+    for i in 0..rows {
+        for b in 0..q {
+            let dst = &mut tmp[(i * q + b) * len..][..len];
+            dst.fill(T::zero());
+            for (a, &coef) in mat.row(i).iter().enumerate() {
+                if coef == T::zero() {
+                    continue;
+                }
+                for (o, &v) in dst.iter_mut().zip(x(a * q + b)) {
+                    *o += coef * v;
+                }
+            }
+        }
+    }
+    for i in 0..rows {
+        for j in 0..mat.rows() {
+            y.fill(T::zero());
+            for (b, &coef) in mat.row(j).iter().enumerate() {
+                for (o, &v) in y.iter_mut().zip(&tmp[(i * q + b) * len..][..len]) {
+                    *o += v * coef;
+                }
+            }
+            emit(i, j, y);
+        }
+    }
 }
 
 /// Shared, read-only state of one Winograd layer execution, generic
@@ -242,35 +294,85 @@ impl<T: Scalar> WinoCtx<'_, T> {
         m_e
     }
 
-    /// Phase 3 — one item per `(image, tile-row)` pair: gathers each
-    /// tile's `n²` transform-domain products from the per-`(e, panel)`
-    /// GEMM outputs, inverse-transforms, and returns the finished
-    /// output rows as a flat `K × rows_here × out_w` buffer.
+    /// Phase 3 — one item per `(image, tile-row)` pair: inverse-transforms
+    /// every tile of the row and returns the finished output rows as a
+    /// flat `K × rows_here × out_w` buffer.
+    ///
+    /// The row's tiles are read structure-of-arrays, as the contiguous
+    /// runs `M_e[k][tp..tp + len]` of the per-`(e, panel)` GEMM outputs
+    /// (one run per panel the row touches), and `Y = Aᵀ M A` runs across
+    /// each run through [`sandwich_lanes`] — bitwise
+    /// `RealTransforms::apply_inverse` per tile. In `f32`, a run shorter
+    /// than half a panel is copied out for several kernels at once, so a
+    /// narrow layer still transforms up to [`PANEL_TILES`] lanes per pass.
+    /// Output rows past the layer's ragged bottom edge are never
+    /// computed.
     fn inverse_item(&self, img: usize, ty: usize, m_chunks: &[Vec<T>]) -> Vec<T> {
-        let (m, n2, k_out) = (self.m, self.n2, self.k);
+        let (m, k_out, out_w) = (self.m, self.k, self.out_w);
+        let n = self.real.params().input_tile();
         let panels = self.total_tiles.div_ceil(PANEL_TILES);
         let rows_here = m.min(self.out_h - ty * m);
         let row_base = (img * self.tiles_y + ty) * self.tiles_x;
 
-        let mut scratch = vec![T::zero(); self.real.scratch_len()];
-        let mut local = vec![T::zero(); k_out * rows_here * self.out_w];
-        let mut prod = vec![T::zero(); n2];
-        let mut y = vec![T::zero(); m * m];
-        for k in 0..k_out {
-            for tx in 0..self.tiles_x {
-                let t = row_base + tx;
-                let (p, tp) = (t / PANEL_TILES, t % PANEL_TILES);
-                let np = self.panel_len(p);
-                for (e, slot) in prod.iter_mut().enumerate() {
-                    *slot = m_chunks[e * panels + p][k * np + tp];
+        let mut local = vec![T::zero(); k_out * rows_here * out_w];
+        let mut tmp = vec![T::zero(); rows_here * n * PANEL_TILES];
+        let mut y = [T::zero(); PANEL_TILES];
+        let mut gathered = Vec::new();
+        let mut tx0 = 0;
+        while tx0 < self.tiles_x {
+            let t = row_base + tx0;
+            let (p, tp) = (t / PANEL_TILES, t % PANEL_TILES);
+            let len = (PANEL_TILES - tp).min(self.tiles_x - tx0);
+            let np = self.panel_len(p);
+            let run = |e: usize, k: usize| &m_chunks[e * panels + p][k * np + tp..][..len];
+            // Lane kk·len + tx of a pass is tile tx0 + tx of kernel k0 + kk.
+            // Only f32 batches kernels: saturating `Fixed` arithmetic runs
+            // slower vectorized than scalar on the SSE2 baseline, so it
+            // keeps one kernel per pass and short rows stay scalar.
+            let kb = if TypeId::of::<T>() == TypeId::of::<f32>() {
+                (PANEL_TILES / len).max(1)
+            } else {
+                1
+            };
+            for k0 in (0..k_out).step_by(kb) {
+                let kn = kb.min(k_out - k0);
+                let lanes = kn * len;
+                if kn > 1 {
+                    gathered.clear();
+                    gathered.reserve(self.n2 * lanes);
+                    for e in 0..self.n2 {
+                        for k in k0..k0 + kn {
+                            gathered.extend_from_slice(run(e, k));
+                        }
+                    }
                 }
-                self.real.apply_inverse(&prod, &mut y, &mut scratch);
-                let cols_here = m.min(self.out_w - tx * m);
-                for rr in 0..rows_here {
-                    let dst = (k * rows_here + rr) * self.out_w + tx * m;
-                    local[dst..dst + cols_here].copy_from_slice(&y[rr * m..rr * m + cols_here]);
-                }
+                let x = |e: usize| {
+                    if kn > 1 {
+                        &gathered[e * lanes..][..lanes]
+                    } else {
+                        run(e, k0)
+                    }
+                };
+                sandwich_lanes(
+                    &self.real.at,
+                    rows_here,
+                    x,
+                    &mut tmp,
+                    &mut y[..lanes],
+                    |i, j, ys| {
+                        for (kk, ys) in ys.chunks(len).enumerate() {
+                            // Column j of tiles tx0.., clipped at the ragged
+                            // right edge (step_by stops at the row's end).
+                            let row = &mut local[((k0 + kk) * rows_here + i) * out_w..][..out_w];
+                            let cols = row.get_mut(tx0 * m + j..).unwrap_or_default();
+                            for (o, &v) in cols.iter_mut().step_by(m).zip(ys) {
+                                *o = v;
+                            }
+                        }
+                    },
+                );
             }
+            tx0 += len;
         }
         local
     }
@@ -280,8 +382,8 @@ impl<T: Scalar> WinoCtx<'_, T> {
 /// has already been transformed, generic over the datapath scalar.
 ///
 /// Transforming the kernel bank into the coordinate-major `V` buffer
-/// (one `apply_kernel` per `(k, c)` pair, behind exact-rational
-/// transform generation) costs the same no matter how many images are
+/// (`G g Gᵀ` for every `(k, c)` pair, run across a kernel's channels
+/// at once, behind exact-rational transform generation) costs the same no matter how many images are
 /// pushed through the layer, so [`PreparedWinograd::new`] pays it once;
 /// [`execute`] then runs any number of `(N, C, H, W)` inputs against
 /// the cached bank, producing `(N, K, H+2·pad−r+1, W+2·pad−r+1)` —
@@ -340,17 +442,26 @@ impl<T: Scalar> PreparedWinograd<T> {
         let mut v_bank = vec![T::zero(); n2 * ks.n * ks.c];
         {
             let _prep = Span::enter("exec.prepare", "kernel-transform");
-            let mut scratch = vec![T::zero(); real.scratch_len()];
-            let mut v = vec![T::zero(); n2];
+            // Per output kernel k, its C windows structure-of-arrays
+            // (gs[a·r + b][c]), so V = G g Gᵀ runs across all channels at
+            // once and lands contiguously in v_bank[e][k][..] — bitwise
+            // `RealTransforms::apply_kernel` per (k, c).
+            let (n, c_in) = (params.input_tile(), ks.c);
+            let mut gs = vec![T::zero(); r * r * c_in];
+            let mut tmp = vec![T::zero(); n * r * c_in];
+            let mut v = vec![T::zero(); c_in];
             let kflat = kernels.as_slice();
             for k in 0..ks.n {
-                for c in 0..ks.c {
-                    let g = &kflat[(k * ks.c + c) * r * r..][..r * r];
-                    real.apply_kernel(g, &mut v, &mut scratch);
-                    for (e, &ve) in v.iter().enumerate() {
-                        v_bank[(e * ks.n + k) * ks.c + c] = ve;
+                for c in 0..c_in {
+                    let g = &kflat[(k * c_in + c) * r * r..][..r * r];
+                    for (ab, &w) in g.iter().enumerate() {
+                        gs[ab * c_in + c] = w;
                     }
                 }
+                let window = |ab: usize| &gs[ab * c_in..][..c_in];
+                sandwich_lanes(&real.g, n, window, &mut tmp, &mut v, |i, j, vs| {
+                    v_bank[((i * n + j) * ks.n + k) * c_in..][..c_in].copy_from_slice(vs);
+                });
             }
         }
         let v_slab = ks.n.div_ceil(MR).max(1) * ks.c * MR;
@@ -496,7 +607,7 @@ mod tests {
     use super::*;
     use crate::PreparedSpatial;
     use wino_baselines::{spatial_convolve, spatial_convolve_strided};
-    use wino_tensor::{ErrorStats, SplitMix64};
+    use wino_tensor::{ErrorStats, Fixed, SplitMix64};
 
     fn random_pair(seed: u64, shape: Shape4, k: usize, r: usize) -> (Tensor4<f32>, Tensor4<f32>) {
         let mut rng = SplitMix64::new(seed);
@@ -566,6 +677,147 @@ mod tests {
         assert_eq!(got.shape(), oracle.shape());
         let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
         assert!(stats.within_abs(1e-4), "{stats}");
+    }
+
+    /// Runs `inverse_item` over every tile row of a synthetic layer whose
+    /// GEMM outputs are random, and checks each output element against
+    /// the per-tile `RealTransforms::apply_inverse` bit for bit.
+    fn soa_inverse_matches_per_tile<T: Scalar>(
+        m: usize,
+        r: usize,
+        (n_img, tiles_y, tiles_x): (usize, usize, usize),
+        conv: impl Fn(f32) -> T,
+        bits: impl Fn(T) -> u64,
+    ) {
+        let params = WinogradParams::new(m, r).unwrap();
+        let real = TransformSet::generate(params).unwrap().to_scalar::<T>();
+        let n2 = params.mults_per_tile_2d();
+        let k_out = 3;
+        // Ragged on both axes: the last tile row and column are one short.
+        let (out_h, out_w) = (tiles_y * m - 1, tiles_x * m - 1);
+        let total_tiles = n_img * tiles_y * tiles_x;
+        let panels = total_tiles.div_ceil(PANEL_TILES);
+        let panel_len = |p: usize| PANEL_TILES.min(total_tiles - p * PANEL_TILES);
+        let mut rng = SplitMix64::new((m * 10 + r) as u64);
+        let m_chunks: Vec<Vec<T>> = (0..n2 * panels)
+            .map(|item| {
+                (0..k_out * panel_len(item % panels))
+                    .map(|_| conv(rng.uniform_f32(-4.0, 4.0)))
+                    .collect()
+            })
+            .collect();
+        let ctx = WinoCtx {
+            real: &real,
+            input: &[],
+            in_shape: Shape4 { n: n_img, c: 1, h: 0, w: 0 },
+            v_pack: &[],
+            v_slab: 0,
+            data_terms: &[],
+            k: k_out,
+            c: 1,
+            m,
+            n2,
+            pad: 0,
+            out_h,
+            out_w,
+            tiles_x,
+            tiles_y,
+            total_tiles,
+        };
+        let (mut prod, mut y, mut scratch) =
+            (vec![T::zero(); n2], vec![T::zero(); m * m], vec![T::zero(); real.scratch_len()]);
+        for img in 0..n_img {
+            for ty in 0..tiles_y {
+                let got = ctx.inverse_item(img, ty, &m_chunks);
+                let rows_here = m.min(out_h - ty * m);
+                for k in 0..k_out {
+                    for tx in 0..tiles_x {
+                        let t = (img * tiles_y + ty) * tiles_x + tx;
+                        let (p, tp) = (t / PANEL_TILES, t % PANEL_TILES);
+                        for (e, slot) in prod.iter_mut().enumerate() {
+                            *slot = m_chunks[e * panels + p][k * panel_len(p) + tp];
+                        }
+                        real.apply_inverse(&prod, &mut y, &mut scratch);
+                        for i in 0..rows_here {
+                            for j in 0..m.min(out_w - tx * m) {
+                                let at = (k * rows_here + i) * out_w + tx * m + j;
+                                assert_eq!(
+                                    bits(got[at]),
+                                    bits(y[i * m + j]),
+                                    "F({m}, {r}) img={img} ty={ty} k={k} tx={tx} i={i} j={j}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn soa_inverse_is_bitwise_the_per_tile_inverse() {
+        // (images, tile rows, tiles per row): 70-tile rows are wider than
+        // a panel; 2 × 3 × 23 = 138 tiles put rows across both panel
+        // boundaries.
+        for geometry in [(1, 2, 70), (2, 3, 23)] {
+            for m in [2usize, 3, 4, 6] {
+                for r in [3usize, 5] {
+                    soa_inverse_matches_per_tile(m, r, geometry, |x| x, |x| x.to_bits().into());
+                    soa_inverse_matches_per_tile(m, r, geometry, Fixed::<10>::from_f32, |x| {
+                        x.to_f64().to_bits()
+                    });
+                }
+            }
+        }
+    }
+
+    /// The cached bank equals the per-`(k, c)` `RealTransforms::apply_kernel`
+    /// scattered coordinate-major and packed, bit for bit.
+    fn soa_kernel_transform_matches_per_kernel<T: Scalar>(
+        m: usize,
+        r: usize,
+        conv: impl Fn(f32) -> T,
+        bits: impl Fn(T) -> u64,
+    ) {
+        let params = WinogradParams::new(m, r).unwrap();
+        let (k_out, c_in) = (9, 5);
+        let mut rng = SplitMix64::new((m * 10 + r) as u64);
+        let kernels = Tensor4::from_fn(Shape4 { n: k_out, c: c_in, h: r, w: r }, |_, _, _, _| {
+            conv(rng.uniform_f32(-1.0, 1.0))
+        });
+        let bank = PreparedWinograd::new(params, &kernels).unwrap();
+
+        let real = &bank.real;
+        let n2 = params.mults_per_tile_2d();
+        let (mut v, mut scratch) = (vec![T::zero(); n2], vec![T::zero(); real.scratch_len()]);
+        let mut v_bank = vec![T::zero(); n2 * k_out * c_in];
+        for k in 0..k_out {
+            for c in 0..c_in {
+                let g = &kernels.as_slice()[(k * c_in + c) * r * r..][..r * r];
+                real.apply_kernel(g, &mut v, &mut scratch);
+                for (e, &ve) in v.iter().enumerate() {
+                    v_bank[(e * k_out + k) * c_in + c] = ve;
+                }
+            }
+        }
+        let expected: Vec<u64> = (0..n2)
+            .flat_map(|e| pack_a(k_out, c_in, &v_bank[e * k_out * c_in..][..k_out * c_in], c_in))
+            .map(&bits)
+            .collect();
+        let got: Vec<u64> = bank.v_pack.iter().map(|&x| bits(x)).collect();
+        assert_eq!(got, expected, "F({m}, {r})");
+    }
+
+    #[test]
+    fn soa_kernel_transform_is_bitwise_the_per_kernel_transform() {
+        for m in [2usize, 3, 4, 6] {
+            for r in [3usize, 5] {
+                soa_kernel_transform_matches_per_kernel(m, r, |x| x, |x| x.to_bits().into());
+                soa_kernel_transform_matches_per_kernel(m, r, Fixed::<10>::from_f32, |x| {
+                    x.to_f64().to_bits()
+                });
+            }
+        }
     }
 
     #[test]

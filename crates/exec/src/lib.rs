@@ -61,7 +61,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the GEMM's run-time AVX2 dispatch
+// (`gemm::gemm_packed_a`) is the one place allowed an `unsafe` block.
+#![deny(unsafe_code)]
 
 mod backend;
 mod continuous;

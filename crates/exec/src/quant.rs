@@ -46,10 +46,13 @@ pub enum Precision {
 }
 
 impl fmt::Display for Precision {
+    /// `f32`, or `Q(32−frac).frac`. Total for every `frac`: a
+    /// hand-built `Fixed` wider than the word shows a negative integer
+    /// part (`Q-8.40`) rather than panicking.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Precision::Float => write!(f, "f32"),
-            Precision::Fixed { frac } => write!(f, "Q{}.{}", 32 - frac, frac),
+            Precision::Fixed { frac } => write!(f, "Q{}.{}", 32 - i64::from(*frac), frac),
         }
     }
 }
@@ -389,6 +392,17 @@ mod tests {
         // Halving the step roughly halves the bound.
         let ratio = bound(2, 8) / bound(2, 9);
         assert!((1.5..=2.5).contains(&ratio), "{ratio}");
+    }
+
+    #[test]
+    fn precision_display_is_total() {
+        let label = |frac| Precision::Fixed { frac }.to_string();
+        assert_eq!(label(0), "Q32.0");
+        assert_eq!(label(8), "Q24.8");
+        assert_eq!(label(32), "Q0.32");
+        assert_eq!(label(40), "Q-8.40");
+        assert_eq!(label(u32::MAX), "Q-4294967263.4294967295");
+        assert_eq!(Precision::Float.to_string(), "f32");
     }
 
     #[test]
