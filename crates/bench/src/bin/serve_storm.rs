@@ -1,8 +1,8 @@
-//! Serving storm study: the sharded, continuously-batched serving
-//! layer under a seeded, bursty multi-tenant storm — 10⁵ requests on
-//! the virtual clock (a discrete-event simulation over the *real*
-//! [`ShardSet`], with modeled layer service times), plus a smaller
-//! wall-clock storm (10³⁺ requests) through a real threaded [`Server`].
+//! Serving storm study: the sharded serving layer under a seeded,
+//! bursty multi-tenant storm — 10⁵ requests on the virtual clock (a
+//! discrete-event simulation over the *real* [`ShardSet`], with modeled
+//! layer service times), plus a smaller wall-clock storm (10³⁺
+//! requests) through a real threaded [`Server`].
 //! Results merge into `BENCH_serve.json` under the `"storm"` key.
 //!
 //! The trace has four phases: steady load, an overload spike (~6×
@@ -10,22 +10,20 @@
 //! traffic on one model) and a cool-down tail; the simulation then
 //! drains under load. Two configurations replay the identical trace:
 //!
-//! * **single-shard baseline** — 1 shard × 4 workers, no stealing, no
-//!   continuous batching (the pre-sharding serving architecture);
-//! * **sharded** — 4 shards × 1 worker, work stealing on, continuous
-//!   batching admitting queued requests into in-flight batches at
-//!   layer boundaries.
+//! * **single-shard baseline** — 1 shard × 4 workers, no stealing (the
+//!   pre-sharding serving architecture);
+//! * **sharded** — 4 shards × 1 worker, work stealing on.
 //!
 //! Gates (asserted here; CI runs this binary and fails on any):
 //!
 //! 1. **Zero lost requests** in every run: admitted == served.
 //!    Rejection at admission (bounded queues during the spike) is the
 //!    only permitted loss mode.
-//! 2. **Bitwise equality**: sampled batch compositions from the
-//!    sharded run — including mid-flight joiners with their exact join
-//!    boundaries — are re-executed for real through
-//!    `infer_batch_continuous` and compared lane-by-lane against solo
-//!    `infer_one` runs.
+//! 2. **Bitwise equality**: sampled multi-lane batch compositions from
+//!    the sharded run — the first partial and the first full batch of
+//!    every model — are re-executed for real through `infer_batch` and
+//!    compared lane-by-lane against solo `infer_one` runs: at least 8
+//!    batches, each of ≥ 2 lanes, covering ≥ 4 models.
 //! 3. **No tail regression from sharding**: sharded all-class p99 must
 //!    stay within 1.10× of the single-shard baseline (same total
 //!    worker count).
@@ -35,10 +33,10 @@
 //!    event of the sharded run; `verify()` must pass (every admitted
 //!    seq has exactly one causally-ordered timeline ending in exactly
 //!    one terminal event) and its aggregate counts must agree with the
-//!    simulation's own bookkeeping — with steals and mid-flight joins
-//!    actually observed. The per-request timelines export as
-//!    `STORM_trace.json` (Chrome trace format) and the always-on
-//!    flight recorder's black box as `STORM_flight.json`.
+//!    simulation's own bookkeeping — with steals actually observed.
+//!    The per-request timelines export as `STORM_trace.json` (Chrome
+//!    trace format) and the always-on flight recorder's black box as
+//!    `STORM_flight.json`.
 //! 6. **SLO burn-rate alerting**: an [`SloEngine`] with a pooled
 //!    10 ms / 99 % objective watches metrics snapshots every 10 ms of
 //!    virtual time. The overload spike **must** trip a fast-burn
@@ -136,12 +134,11 @@ fn layer_dt(model: usize, lanes: usize) -> Duration {
     Duration::from_micros(18 + 4 * model as u64 + 3 * lanes as u64)
 }
 
-/// A batch composition captured for real re-execution: initial lane
-/// seeds plus every join (layer boundary, joiner seeds).
+/// A batch composition captured for real re-execution: its lane seeds
+/// in release order.
 struct Sample {
     model: usize,
-    initial: Vec<u64>,
-    joins: Vec<(usize, Vec<u64>)>,
+    seeds: Vec<u64>,
 }
 
 #[derive(Default)]
@@ -169,7 +166,6 @@ struct SimConfig {
     shards: usize,
     workers_per_shard: usize,
     steal: bool,
-    continuous: bool,
     collect_samples: bool,
 }
 
@@ -240,12 +236,10 @@ fn inject(
 }
 
 /// Discrete-event replay of `trace` against a real [`ShardSet`]:
-/// virtual workers poll (and steal), batches execute with modeled
-/// per-layer service times, and — with continuous batching on —
-/// arrivals that land mid-batch join at the next layer boundary,
-/// exactly as the threaded server admits them. Arrivals during a
-/// batch's execution window are injected at the boundary they precede,
-/// so admission timing matches the layer-boundary hook semantics.
+/// virtual workers poll (and steal), and each released batch executes
+/// every layer at its released lane count with modeled per-layer
+/// service times. Arrivals are injected whenever a worker event pops,
+/// in time order.
 fn simulate(
     trace: &[StormItem],
     caps: &[usize],
@@ -273,8 +267,9 @@ fn simulate(
         shards: (0..cfg.shards).map(|_| ShardStats::default()).collect(),
         samples: Vec::new(),
     };
-    let mut join_samples = 0usize;
-    let mut plain_samples = 0usize;
+    // Per model: whether a partial / a full multi-lane batch has been
+    // sampled yet.
+    let mut sampled = vec![[false; 2]; caps.len()];
 
     // The worker heap: (next event time, shard, worker id), earliest
     // first. A worker's event is either "free to poll" or "batch done".
@@ -298,49 +293,8 @@ fn simulate(
         match set.poll_at(shard, t) {
             ShardPoll::Ready { batch, from } => {
                 let model = batch.model;
-                let layers = layer_counts[model];
-                let cap = caps[model];
-                let mut lanes = batch.requests;
-                let mut joins: Vec<(usize, Vec<u64>)> = Vec::new();
-                // `(seq, boundary)` per mid-flight joiner, for the
-                // join/catch-up trace events.
-                let mut joined: Vec<(u64, usize)> = Vec::new();
-                let mut tb = t;
-                let mut max_join = 0usize;
-                for boundary in 1..layers {
-                    tb += layer_dt(model, lanes.len());
-                    if cfg.continuous {
-                        inject(&set, &mut arrivals, tb, &mut out.admitted, &mut out.rejected);
-                        let free = cap.saturating_sub(lanes.len());
-                        if free > 0 {
-                            let joiners = set.admit_into(model, free);
-                            if !joiners.is_empty() {
-                                max_join = boundary;
-                                for j in &joiners {
-                                    joined.push((j.seq, boundary));
-                                    trace_sim(
-                                        &set,
-                                        shard,
-                                        ReqEvent::new(
-                                            j.seq,
-                                            tb,
-                                            ReqEventKind::Join { layer: boundary as u32 },
-                                        ),
-                                    );
-                                }
-                                joins.push((boundary, joiners.iter().map(|r| r.payload).collect()));
-                                lanes.extend(joiners);
-                            }
-                        }
-                    }
-                }
-                tb += layer_dt(model, lanes.len()); // final layer
-                                                    // Catch-up passes for the latest joiner's missed
-                                                    // prefix, at the full lane count (they run batched).
-                for _ in 0..max_join {
-                    tb += layer_dt(model, lanes.len());
-                }
-                let t_end = tb;
+                let lanes = batch.requests;
+                let t_end = t + layer_dt(model, lanes.len()) * layer_counts[model] as u32;
                 out.batches += 1;
                 out.served += lanes.len() as u64;
                 let stats = &mut out.shards[shard];
@@ -355,27 +309,7 @@ fn simulate(
                     out.classes[item.priority.index()].record(latency);
                     out.class_counts[item.priority.index()] += 1;
                     stats.latency.record(latency);
-                }
-                // Joiners catch up on their missed prefix after the
-                // shared layers; every lane then resolves at t_end.
-                for &(seq, boundary) in &joined {
-                    trace_sim(
-                        &set,
-                        shard,
-                        ReqEvent::new(
-                            seq,
-                            t_end,
-                            ReqEventKind::CatchUp { layers: boundary as u32 },
-                        ),
-                    );
-                }
-                for item in &lanes {
-                    // Same clamp as dispatch tracing: mid-batch
-                    // injection can enqueue a lane "after" the poll
-                    // instant that released it, and resolution can
-                    // never precede admission.
-                    let at = t_end.max(item.enqueued_at);
-                    trace_sim(&set, shard, ReqEvent::new(item.seq, at, ReqEventKind::Resolved));
+                    trace_sim(&set, shard, ReqEvent::new(item.seq, t_end, ReqEventKind::Resolved));
                 }
                 if let Some(o) = obs.as_deref_mut() {
                     let priorities: Vec<Priority> = lanes.iter().map(|r| r.priority).collect();
@@ -394,27 +328,14 @@ fn simulate(
                     );
                 }
                 out.makespan = out.makespan.max(t_end);
-                if cfg.collect_samples {
-                    // A handful of compositions for real re-execution:
-                    // prefer batches that actually grew mid-flight.
-                    if !joins.is_empty() && join_samples < 5 {
-                        join_samples += 1;
-                        out.samples.push(Sample {
-                            model,
-                            initial: lanes
-                                [..lanes.len() - joins.iter().map(|(_, s)| s.len()).sum::<usize>()]
-                                .iter()
-                                .map(|r| r.payload)
-                                .collect(),
-                            joins: joins.clone(),
-                        });
-                    } else if out.batches.is_multiple_of(20_000) && plain_samples < 4 {
-                        plain_samples += 1;
-                        out.samples.push(Sample {
-                            model,
-                            initial: lanes.iter().map(|r| r.payload).collect(),
-                            joins: Vec::new(),
-                        });
+                if cfg.collect_samples && lanes.len() >= 2 {
+                    // The first partial and the first full multi-lane
+                    // batch of every model, for real re-execution.
+                    let full = usize::from(lanes.len() == caps[model]);
+                    if !sampled[model][full] {
+                        sampled[model][full] = true;
+                        let seeds = lanes.iter().map(|r| r.payload).collect();
+                        out.samples.push(Sample { model, seeds });
                     }
                 }
                 heap.push(Reverse((t_end, shard, worker)));
@@ -507,7 +428,6 @@ fn system_storm(registry: ModelRegistry) -> String {
             shards: 2,
             workers: 2,
             steal: true,
-            continuous: true,
             exec_threads_per_worker: Some(1),
             batch: BatchConfig {
                 max_batch: 8,
@@ -546,7 +466,7 @@ fn system_storm(registry: ModelRegistry) -> String {
     assert_eq!(snapshot.total_rejected(), 0);
     assert_eq!(snapshot.total_failed(), 0);
     // Gate 2 (system): sampled bitwise equality through the real
-    // sharded, stolen, continuously-batched path.
+    // sharded, stolen, batched path.
     for (model, seed, direct) in &sample_direct {
         let (_, _, served) = results
             .iter()
@@ -613,20 +533,10 @@ fn main() {
     );
 
     // --- virtual-clock storms: baseline vs sharded, same trace ---
-    let baseline_cfg = SimConfig {
-        shards: 1,
-        workers_per_shard: 4,
-        steal: false,
-        continuous: false,
-        collect_samples: false,
-    };
-    let sharded_cfg = SimConfig {
-        shards: 4,
-        workers_per_shard: 1,
-        steal: true,
-        continuous: true,
-        collect_samples: true,
-    };
+    let baseline_cfg =
+        SimConfig { shards: 1, workers_per_shard: 4, steal: false, collect_samples: false };
+    let sharded_cfg =
+        SimConfig { shards: 4, workers_per_shard: 1, steal: true, collect_samples: true };
     let wall = Instant::now();
     let baseline = simulate(&trace, &caps, &layer_counts, &baseline_cfg, None);
     // The sharded run carries the full observability stack: a global
@@ -663,32 +573,13 @@ fn main() {
     assert_eq!(baseline.admitted, baseline.served, "baseline lost requests");
     assert_eq!(sharded.admitted, sharded.served, "sharded run lost requests");
 
-    // Gate 2: sampled compositions — including mid-flight joiners at
-    // their exact boundaries — re-executed for real, bitwise.
+    // Gate 2: sampled multi-lane compositions re-executed for real,
+    // bitwise against solo runs.
     let mut checked_lanes = 0usize;
-    let mut joiner_lanes = 0usize;
     for sample in &sharded.samples {
+        assert!(sample.seeds.len() >= 2, "sampled a single-lane batch");
         let entry = registry.entry(sample.model);
-        let mut pending = sample.joins.clone();
-        let lanes = entry.infer_batch_continuous(
-            sample.initial.clone(),
-            |&s| s,
-            |b| {
-                let mut joiners = Vec::new();
-                pending.retain(|(boundary, seeds)| {
-                    if *boundary == b.next_layer {
-                        joiners.extend(seeds.iter().copied());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                joiners
-            },
-        );
-        assert!(pending.is_empty(), "every recorded join replayed");
-        joiner_lanes += sample.joins.iter().map(|(_, s)| s.len()).sum::<usize>();
-        for (seed, output) in lanes {
+        for (&seed, output) in sample.seeds.iter().zip(entry.infer_batch(&sample.seeds)) {
             assert_eq!(
                 output,
                 entry.infer_one(seed),
@@ -697,10 +588,15 @@ fn main() {
             checked_lanes += 1;
         }
     }
-    assert!(!sharded.samples.is_empty(), "sampling captured no batches");
+    let mut sampled_models: Vec<usize> = sharded.samples.iter().map(|s| s.model).collect();
+    sampled_models.sort_unstable();
+    sampled_models.dedup();
+    assert!(sharded.samples.len() >= 8, "only {} batches sampled", sharded.samples.len());
+    assert!(sampled_models.len() >= 4, "samples cover only {} models", sampled_models.len());
     println!(
-        "bitwise check: {} sampled batches, {checked_lanes} lanes ({joiner_lanes} mid-flight joiners) == solo runs",
-        sharded.samples.len()
+        "bitwise check: {} sampled batches over {} models, {checked_lanes} lanes == solo runs",
+        sharded.samples.len(),
+        sampled_models.len()
     );
 
     // Gate 3: sharding must not regress the tail vs the same worker
@@ -737,11 +633,9 @@ fn main() {
     assert_eq!(stats.failed, 0, "no faults injected, no Failed timelines");
     assert_eq!(stats.sheds, sharded.rejected, "every rejection traced as a shed");
     assert!(stats.steals > 0, "storm produced no stolen batches to trace");
-    assert!(stats.joins > 0, "storm produced no mid-flight joins to trace");
-    assert_eq!(stats.joins, stats.catch_ups, "every joiner catches up exactly once");
     println!(
-        "trace: {} requests, {} events; {} stolen, {} joined (+caught up), {} sheds — verified",
-        stats.requests, stats.events, stats.steals, stats.joins, stats.sheds
+        "trace: {} requests, {} events; {} stolen, {} sheds — verified",
+        stats.requests, stats.events, stats.steals, stats.sheds
     );
 
     // Trace artifacts: the per-request Chrome trace (a bounded sample)
@@ -797,8 +691,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"bitwise\": {{\"batches\": {}, \"lanes\": {checked_lanes}, \"joiner_lanes\": {joiner_lanes}}},",
-        sharded.samples.len()
+        "    \"bitwise\": {{\"batches\": {}, \"models\": {}, \"lanes\": {checked_lanes}}},",
+        sharded.samples.len(),
+        sampled_models.len()
     );
     let _ = writeln!(json, "    \"baseline\": {},", outcome_json(&baseline));
     let _ = writeln!(json, "    \"sharded\": {},", outcome_json(&sharded));
@@ -824,8 +719,8 @@ fn main() {
     );
     let _ = writeln!(
         slo_json,
-        "    \"trace\": {{\"requests\": {}, \"events\": {}, \"steals\": {}, \"joins\": {}, \"catch_ups\": {}, \"sheds\": {}}},",
-        stats.requests, stats.events, stats.steals, stats.joins, stats.catch_ups, stats.sheds
+        "    \"trace\": {{\"requests\": {}, \"events\": {}, \"steals\": {}, \"sheds\": {}}},",
+        stats.requests, stats.events, stats.steals, stats.sheds
     );
     slo_json.push_str("    \"alerts\": [");
     for (i, alert) in storm_obs.alerts.iter().enumerate() {

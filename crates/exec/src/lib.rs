@@ -66,7 +66,6 @@
 #![deny(unsafe_code)]
 
 mod backend;
-mod continuous;
 mod executor;
 mod fft;
 pub mod gemm;
@@ -76,7 +75,6 @@ mod quant;
 mod schedule;
 
 pub use backend::{ConvBackend, PreparedSpatial};
-pub use continuous::{run_layers_admitting, Boundary};
 pub use executor::{LayerReport, NetworkExecutor, NetworkReport, VerifyError};
 pub use fft::{fft_error_bound, PreparedFft};
 pub use layer::{ExecConfig, PreparedWinograd};

@@ -201,8 +201,8 @@ impl PreparedPlan {
     /// Because every engine work item reads exactly one image with a
     /// fixed accumulation order, each lane's output is **bitwise
     /// identical** to [`run`](Self::run) on that lane alone — the
-    /// primitive continuous batching rests on: lanes may join or leave
-    /// between layer calls without perturbing anyone's bits.
+    /// primitive batched serving rests on: whoever shares a batch, no
+    /// lane's bits change.
     ///
     /// # Panics
     ///
@@ -345,6 +345,32 @@ mod tests {
         let plane = a.as_slice().len();
         for img in 0..3 {
             assert_eq!(&b.as_slice()[img * plane..(img + 1) * plane], a.as_slice());
+        }
+    }
+
+    #[test]
+    fn run_lanes_matches_individual_runs_bitwise() {
+        // A float Winograd layer and a strided fixed-point spatial one.
+        let (wino, mut spat, _, kernels) = fixture(1);
+        spat.shape.stride = 2;
+        let plans = [
+            PreparedPlan::new(&wino, Precision::Float, &kernels).unwrap(),
+            PreparedPlan::new(&spat, Precision::Fixed { frac: 10 }, &kernels).unwrap(),
+        ];
+        for plan in &plans {
+            let s = plan.shape();
+            let lanes: Vec<Tensor4<f32>> = (0..3u64)
+                .map(|lane| {
+                    let mut rng = SplitMix64::new(lane + 1);
+                    Tensor4::from_fn(Shape4 { n: 1, c: s.c, h: s.h, w: s.w }, |_, _, _, _| {
+                        rng.uniform_f32(-1.0, 1.0)
+                    })
+                })
+                .collect();
+            let batched = plan.run_lanes(&lanes, 2);
+            for (lane, got) in lanes.iter().zip(&batched) {
+                assert_eq!(got.as_slice(), plan.run(lane, 2).as_slice(), "{}", plan.label());
+            }
         }
     }
 

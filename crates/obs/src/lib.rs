@@ -30,9 +30,9 @@
 //!
 //! Spans answer "where does the time go"; they cannot answer "what
 //! happened to request 4711". The [`ReqEvent`] vocabulary (admitted,
-//! enqueued, batched, stolen shard→shard, join@layer-k, catch-up,
-//! panic-retry, shed, resolved/failed) traces one request's causal
-//! path through the sharded serving layer. Events flow through
+//! enqueued, batched, stolen shard→shard, panic-retry, shed,
+//! resolved/failed) traces one request's causal path through the
+//! sharded serving layer. Events flow through
 //! [`record_req`] — the same one-relaxed-load-when-off discipline as
 //! spans — into a [`TraceIndex`] that reassembles per-request
 //! timelines, verifies their causal shape, and exports Chrome trace

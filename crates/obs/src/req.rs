@@ -2,9 +2,8 @@
 //!
 //! [`ReqEvent`] is the event vocabulary of one request's life through
 //! the sharded serving layer: admitted → enqueued → batched (possibly
-//! stolen shard→shard) *or* join@layer-k (possibly with catch-up
-//! passes) → resolved/failed, with panic-retry and shed as the
-//! exceptional paths. Events carry the serving layer's existing seq
+//! stolen shard→shard) → resolved/failed, with panic-retry and shed as
+//! the exceptional paths. Events carry the serving layer's existing seq
 //! ids and a caller-supplied timestamp — virtual or wall clock, the
 //! trace machinery never reads time itself, so a discrete-event
 //! simulation and a threaded server produce the same shape of trace.
@@ -14,8 +13,8 @@
 //! * [`TraceIndex`] — a [`Recorder`] that reassembles events into
 //!   per-request timelines, verifies their causal shape
 //!   ([`TraceIndex::verify`]: exactly one terminal event per seq,
-//!   steals carry both shard ids, joins carry the join layer, …) and
-//!   exports sampled timelines as Chrome trace JSON. It is fed through
+//!   steals carry both shard ids, …) and exports sampled timelines as
+//!   Chrome trace JSON. It is fed through
 //!   the global [`record_req`](crate::record_req) hook, so it costs
 //!   one relaxed atomic load per event when tracing is off.
 //! * [`FlightRecorder`] — the always-on black box: a bounded,
@@ -65,16 +64,6 @@ pub enum ReqEventKind {
         /// Shard whose worker actually executes it.
         to: u32,
     },
-    /// The request joined an in-flight batch at a layer boundary.
-    Join {
-        /// The layer boundary it joined at (≥ 1).
-        layer: u32,
-    },
-    /// Catch-up passes replayed the joiner's missed layer prefix.
-    CatchUp {
-        /// Number of missed layers replayed.
-        layers: u32,
-    },
     /// The lane's batch panicked; the request is retried solo.
     PanicRetry,
     /// Admission control refused a request (queue full or SLO shed).
@@ -96,8 +85,6 @@ impl ReqEventKind {
             ReqEventKind::Enqueued { .. } => "enqueued",
             ReqEventKind::Batched { .. } => "batched",
             ReqEventKind::Stolen { .. } => "stolen",
-            ReqEventKind::Join { .. } => "join",
-            ReqEventKind::CatchUp { .. } => "catch-up",
             ReqEventKind::PanicRetry => "panic-retry",
             ReqEventKind::Shed => "shed",
             ReqEventKind::Resolved => "resolved",
@@ -154,12 +141,6 @@ impl ReqEvent {
             ReqEventKind::Stolen { from, to } => {
                 let _ = write!(j, ", \"from\": {from}, \"to\": {to}");
             }
-            ReqEventKind::Join { layer } => {
-                let _ = write!(j, ", \"layer\": {layer}");
-            }
-            ReqEventKind::CatchUp { layers } => {
-                let _ = write!(j, ", \"layers\": {layers}");
-            }
             ReqEventKind::PanicRetry
             | ReqEventKind::Shed
             | ReqEventKind::Resolved
@@ -179,10 +160,6 @@ pub struct TraceStats {
     pub events: usize,
     /// Requests whose batch was stolen at least once.
     pub steals: usize,
-    /// Requests that joined an in-flight batch mid-execution.
-    pub joins: usize,
-    /// Requests that recorded catch-up passes.
-    pub catch_ups: usize,
     /// Solo-retry events across all timelines.
     pub panic_retries: usize,
     /// Requests whose terminal event is `Resolved`.
@@ -259,13 +236,11 @@ impl TraceIndex {
     ///
     /// * the first event is `Admitted`, followed by exactly one
     ///   `Enqueued`;
-    /// * the request is dispatched exactly once: either `Batched`
-    ///   (a released batch) or `Join` (a mid-flight joiner), never
-    ///   both;
+    /// * the request is dispatched exactly once, by one `Batched`
+    ///   event (a released batch);
     /// * `Stolen` only follows `Batched`, with `from != to` and
     ///   `from` equal to the batching shard (stolen requests carry
     ///   both shard ids);
-    /// * `Join` carries a layer ≥ 1; `CatchUp` only follows `Join`;
     /// * `PanicRetry` only after dispatch;
     /// * exactly one terminal event (`Resolved`/`Failed`), last;
     /// * timestamps never decrease along the timeline.
@@ -332,9 +307,7 @@ fn verify_timeline(seq: u64, events: &[ReqEvent], stats: &mut TraceStats) -> Res
     }
     let mut enqueued = false;
     let mut batched_on: Option<u32> = None;
-    let mut joined = false;
     let mut stolen = false;
-    let mut caught_up = false;
     let mut retries = 0usize;
     let mut terminal: Option<ReqEventKind> = None;
     let mut last_at = Duration::ZERO;
@@ -359,13 +332,13 @@ fn verify_timeline(seq: u64, events: &[ReqEvent], stats: &mut TraceStats) -> Res
                 if i == 0 {
                     return Err(fail(i, "enqueued before admitted"));
                 }
-                if enqueued || batched_on.is_some() || joined {
+                if enqueued || batched_on.is_some() {
                     return Err(fail(i, "enqueued twice or after dispatch"));
                 }
                 enqueued = true;
             }
             ReqEventKind::Batched { shard, .. } => {
-                if !enqueued || joined || batched_on.is_some() {
+                if !enqueued || batched_on.is_some() {
                     return Err(fail(i, "batched without enqueue, or dispatched twice"));
                 }
                 batched_on = Some(shard);
@@ -382,23 +355,8 @@ fn verify_timeline(seq: u64, events: &[ReqEvent], stats: &mut TraceStats) -> Res
                 }
                 stolen = true;
             }
-            ReqEventKind::Join { layer } => {
-                if !enqueued || batched_on.is_some() || joined {
-                    return Err(fail(i, "join without enqueue, or dispatched twice"));
-                }
-                if layer == 0 {
-                    return Err(fail(i, "join at layer 0 (joiners enter at a boundary >= 1)"));
-                }
-                joined = true;
-            }
-            ReqEventKind::CatchUp { .. } => {
-                if !joined {
-                    return Err(fail(i, "catch-up without a join"));
-                }
-                caught_up = true;
-            }
             ReqEventKind::PanicRetry => {
-                if batched_on.is_none() && !joined {
+                if batched_on.is_none() {
                     return Err(fail(i, "panic-retry before dispatch"));
                 }
                 retries += 1;
@@ -407,7 +365,7 @@ fn verify_timeline(seq: u64, events: &[ReqEvent], stats: &mut TraceStats) -> Res
                 return Err(fail(i, "shed event indexed under a seq"));
             }
             ReqEventKind::Resolved | ReqEventKind::Failed => {
-                if batched_on.is_none() && !joined {
+                if batched_on.is_none() {
                     return Err(fail(i, "terminal event before dispatch"));
                 }
                 terminal = Some(ev.kind);
@@ -425,12 +383,6 @@ fn verify_timeline(seq: u64, events: &[ReqEvent], stats: &mut TraceStats) -> Res
     stats.events += events.len();
     if stolen {
         stats.steals += 1;
-    }
-    if joined {
-        stats.joins += 1;
-    }
-    if caught_up {
-        stats.catch_ups += 1;
     }
     stats.panic_retries += retries;
     Ok(())
@@ -566,11 +518,11 @@ mod tests {
         idx.record_event(&ReqEvent::new(2, at(2), ReqEventKind::Stolen { from: 1, to: 3 }));
         idx.record_event(&ReqEvent::new(2, at(3), ReqEventKind::PanicRetry));
         idx.record_event(&ReqEvent::new(2, at(6), ReqEventKind::Resolved));
-        // A mid-flight joiner with catch-up, ending in failure.
+        // A double fault: retried solo, failed again.
         idx.record_event(&ReqEvent::new(3, at(2), ReqEventKind::Admitted { class: "low" }));
         idx.record_event(&ReqEvent::new(3, at(2), ReqEventKind::Enqueued { shard: 0 }));
-        idx.record_event(&ReqEvent::new(3, at(3), ReqEventKind::Join { layer: 4 }));
-        idx.record_event(&ReqEvent::new(3, at(6), ReqEventKind::CatchUp { layers: 4 }));
+        idx.record_event(&ReqEvent::new(3, at(3), ReqEventKind::Batched { shard: 0, lanes: 3 }));
+        idx.record_event(&ReqEvent::new(3, at(6), ReqEventKind::PanicRetry));
         idx.record_event(&ReqEvent::new(3, at(7), ReqEventKind::Failed));
         // Two sheds, tallied but never indexed.
         idx.record_event(&ReqEvent::new(0, at(4), ReqEventKind::Shed));
@@ -579,9 +531,7 @@ mod tests {
         let stats = idx.verify().expect("all timelines causal");
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.steals, 1);
-        assert_eq!(stats.joins, 1);
-        assert_eq!(stats.catch_ups, 1);
-        assert_eq!(stats.panic_retries, 1);
+        assert_eq!(stats.panic_retries, 2);
         assert_eq!(stats.resolved, 2);
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.sheds, 2);
@@ -610,8 +560,8 @@ mod tests {
         idx.record_event(&ReqEvent::new(4, at(1), ReqEventKind::Admitted { class: "normal" }));
         idx.record_event(&ReqEvent::new(4, at(1), ReqEventKind::Enqueued { shard: 0 }));
         idx.record_event(&ReqEvent::new(4, at(2), ReqEventKind::Batched { shard: 0, lanes: 1 }));
-        idx.record_event(&ReqEvent::new(4, at(3), ReqEventKind::Join { layer: 1 }));
-        let err = idx.verify().expect_err("batched then joined");
+        idx.record_event(&ReqEvent::new(4, at(3), ReqEventKind::Batched { shard: 0, lanes: 2 }));
+        let err = idx.verify().expect_err("batched twice");
         assert!(err.contains("dispatched twice"), "{err}");
     }
 

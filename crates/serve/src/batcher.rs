@@ -397,21 +397,10 @@ impl<T> DynamicBatcher<T> {
 
     /// Pops up to `limit` of `model`'s queued requests in release
     /// order (oldest request first, then class by class, FIFO within
-    /// each class — exactly the `drain_batch`
-    /// policy with a caller-chosen size). This is the **continuous
-    /// batching** entry point: a shard mid-flight through a batch
-    /// calls it at a layer boundary to admit waiting requests into the
-    /// free lanes, and because the pop order is identical to a regular
-    /// release, per-class FIFO order is preserved across early
-    /// admissions.
-    ///
-    /// Returns an empty vector when nothing is queued (or `limit` is
-    /// zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `model` is out of range.
-    pub fn take_for_model(&mut self, model: usize, limit: usize) -> Vec<BatchItem<T>> {
+    /// each class — the `drain_batch` policy with a caller-chosen
+    /// size). Returns an empty vector when nothing is queued (or
+    /// `limit` is zero).
+    fn take_for_model(&mut self, model: usize, limit: usize) -> Vec<BatchItem<T>> {
         let mut requests = Vec::new();
         if limit == 0 {
             return requests;

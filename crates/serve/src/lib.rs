@@ -26,8 +26,8 @@
 //! * [`Server`] — admission control (bounded queues, optional
 //!   SLO-based shedding) in front of per-shard `std::thread` worker
 //!   groups that execute released batches through the cached banks —
-//!   growing them mid-flight at layer boundaries when **continuous
-//!   batching** is on — and fulfill per-request [`ResponseHandle`]s;
+//!   the release is the one place a batch's membership is decided —
+//!   and fulfill per-request [`ResponseHandle`]s;
 //!   worker faults are caught and retried solo, so admitted requests
 //!   resolve (served, or failed with an explicit [`RequestError`])
 //!   rather than vanish;
@@ -48,11 +48,11 @@
 //!   unit-testable without sleeps.
 //!
 //! Two properties carry the whole design and are pinned by tests
-//! (including proptests over arbitrary shard counts, steal schedules
-//! and admission points): a served request's output is **bitwise
-//! identical** to running it alone (batching — continuous or not —
-//! never changes results: every Winograd work item touches one image
-//! only, in a fixed accumulation order), and an admitted request is
+//! (including proptests over arbitrary batch splits, shard counts and
+//! steal schedules): a served request's output is **bitwise
+//! identical** to running it alone (batching never changes results:
+//! every Winograd work item touches one image only, in a fixed
+//! accumulation order), and an admitted request is
 //! **always resolved** (refusal happens only at admission; shutdown
 //! drains every shard before the pool stops; faults surface as
 //! explicit errors).

@@ -15,7 +15,7 @@
 //! overlap–save FFT engines registers and serves exactly like a
 //! homogeneous one — FFT kernel *spectra* are precomputed at
 //! registration the same way Winograd `V`-banks are, and the batched
-//! and continuous-admission paths stay bitwise equal to solo runs.
+//! path stays bitwise equal to solo runs.
 //!
 //! A request is identified by its *input seed*: the entry derives every
 //! layer's single-image input deterministically from the seed (same
@@ -185,9 +185,9 @@ impl ModelEntry {
     }
 
     /// Runs a coalesced batch of requests: for every layer, the
-    /// requests' single-image inputs are stacked into one `(b, C, H, W)`
-    /// tensor, executed through the cached bank in one call, and the
-    /// output is split back per request.
+    /// requests' single-image inputs run as lanes of one call through
+    /// the cached bank ([`PreparedPlan::run_lanes`](wino_exec::PreparedPlan::run_lanes)),
+    /// and the output is split back per request.
     ///
     /// Because every Winograd work item is one `(image, tile-row)` pair
     /// and every spatial item one `(image, kernel)` plane — both
@@ -205,54 +205,18 @@ impl ModelEntry {
         let b = seeds.len();
         assert!(b > 0, "empty batch");
         assert!(b <= self.max_batch(), "batch {b} exceeds max {}", self.max_batch());
-        self.infer_batch_continuous(seeds.to_vec(), |&s| s, |_| Vec::new())
-            .into_iter()
-            .map(|(_, output)| output)
-            .collect()
-    }
-
-    /// Runs a batch with **continuous admission**: `admit` is consulted
-    /// at every layer boundary of the main sweep
-    /// ([`wino_exec::run_layers_admitting`]) and any lane it returns
-    /// joins the in-flight batch there, executing the remaining layers
-    /// with the group and catching up on the earlier ones afterwards.
-    ///
-    /// Lanes are an arbitrary caller type `L` (the server threads its
-    /// response tickets straight through); `seed_of` maps a lane to the
-    /// request seed its inputs derive from. Outputs come back per lane,
-    /// initial lanes first, then admissions in admission order — each
-    /// bitwise identical to [`infer_one`](Self::infer_one) of its seed
-    /// regardless of the admission schedule (layer inputs are
-    /// seed-derived, not chained, so per-lane layer order is free).
-    ///
-    /// The batch-dimension policy cap is the caller's job here: `admit`
-    /// decides how many lanes to add, and the server bounds it by the
-    /// model's [`max_batch`](Self::max_batch) minus the lanes in
-    /// flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `initial` is empty.
-    pub fn infer_batch_continuous<L>(
-        &self,
-        initial: Vec<L>,
-        seed_of: impl Fn(&L) -> u64,
-        admit: impl FnMut(wino_exec::Boundary) -> Vec<L>,
-    ) -> Vec<(L, InferOutput)> {
-        assert!(!initial.is_empty(), "empty batch");
-        let plans: Vec<wino_exec::PreparedPlan> =
-            (0..self.layer_count()).map(|i| self.executor.prepared(i).clone()).collect();
         let threads = self.executor.config().threads;
-        wino_exec::run_layers_admitting(
-            &plans,
-            threads,
-            initial,
-            |lane, layer| self.request_input(layer, seed_of(lane)),
-            admit,
-        )
-        .into_iter()
-        .map(|(lane, layers)| (lane, InferOutput { layers }))
-        .collect()
+        let mut outputs: Vec<InferOutput> =
+            seeds.iter().map(|_| InferOutput { layers: Vec::new() }).collect();
+        for i in 0..self.layer_count() {
+            let inputs: Vec<Tensor4<f32>> =
+                seeds.iter().map(|&seed| self.request_input(i, seed)).collect();
+            let lanes = self.executor.prepared(i).run_lanes(&inputs, threads);
+            for (output, lane) in outputs.iter_mut().zip(lanes) {
+                output.layers.push(lane);
+            }
+        }
+        outputs
     }
 }
 
@@ -409,23 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn continuous_admission_matches_solo_runs_bitwise() {
-        let entry = toy_entry(4);
-        // Seed 9 joins at the boundary before layer 1; its output (and
-        // everyone else's) must still equal a solo run bit for bit.
-        let got = entry.infer_batch_continuous(
-            vec![1u64, 2],
-            |&s| s,
-            |b| if b.next_layer == 1 { vec![9u64] } else { Vec::new() },
-        );
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[2].0, 9, "late joiner rides last");
-        for (seed, output) in &got {
-            assert_eq!(output, &entry.infer_one(*seed), "seed {seed}");
-        }
-    }
-
-    #[test]
     fn same_seed_is_deterministic_and_distinct_seeds_differ() {
         let entry = toy_entry(2);
         assert_eq!(entry.infer_one(5), entry.infer_one(5));
@@ -437,6 +384,13 @@ mod tests {
     fn oversized_batch_panics() {
         let entry = toy_entry(2);
         let _ = entry.infer_batch(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty batch")]
+    fn empty_batch_panics() {
+        let entry = toy_entry(2);
+        let _ = entry.infer_batch(&[]);
     }
 
     #[test]
@@ -485,19 +439,11 @@ mod tests {
         let entry = registry.get(&"hetero-fft".into()).expect("registered");
         assert_eq!(entry.executor().engine_label(0), "FFT(16)");
 
-        // Batched and continuous-admission serving both stay bitwise
-        // equal to solo runs through the FFT bank.
+        // Batched serving stays bitwise equal to solo runs through the
+        // FFT bank.
         let seeds = [3u64, 14, 15];
         for (&seed, got) in seeds.iter().zip(&entry.infer_batch(&seeds)) {
             assert_eq!(got, &entry.infer_one(seed), "seed {seed}");
-        }
-        let admitted = entry.infer_batch_continuous(
-            vec![3u64, 14],
-            |&s| s,
-            |b| if b.next_layer == 1 { vec![15u64] } else { Vec::new() },
-        );
-        for (seed, output) in &admitted {
-            assert_eq!(output, &entry.infer_one(*seed), "admitted seed {seed}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! The serving front end: admission control, sharded worker groups,
-//! continuous batching, and response delivery.
+//! batch execution, and response delivery.
 //!
 //! A [`Server`] owns one clamped [`ModelRegistry`] clone *per shard*, a
 //! [`ShardSet`] of per-shard [`DynamicBatcher`](crate::DynamicBatcher)s,
@@ -16,25 +16,25 @@
 //!    has waited `max_wait`. An idle shard's worker may **steal** the
 //!    released batch ([`ShardSet::poll_at`]); stealing moves only
 //!    whole released batches, so ordering is untouched.
-//! 3. **Execute** — the worker drives the batch through the model's
-//!    cached plans. With continuous batching enabled, at every layer
-//!    boundary it pulls newly queued requests of the same model into
-//!    the free lanes ([`ModelEntry::infer_batch_continuous`]): late
-//!    joiners run the remaining layers with the group and catch up on
-//!    the earlier ones immediately after, instead of waiting for the
-//!    next release.
+//! 3. **Execute** — the worker drives the released batch, layer by
+//!    layer, through the model's cached plans
+//!    ([`ModelEntry::infer_batch`](crate::ModelEntry::infer_batch)).
+//!    The release decided the batch's membership; nothing joins or
+//!    leaves it in flight.
 //! 4. **Respond** — per-request outputs (bitwise identical to a solo
-//!    run, whatever the admission schedule) are split out, metrics
-//!    record per-model, per-shard and per-class figures, and each
-//!    handle is fulfilled.
+//!    run, whoever shared the batch) are split out, metrics record
+//!    per-model, per-shard and per-class figures, and each handle is
+//!    fulfilled.
 //!
 //! **Faults.** A worker panic mid-batch (exercised by
 //! [`ServeConfig::inject_panic_seed`]) is caught; the worker retries
 //! every lane of the doomed batch solo, so innocents still get their
 //! bitwise-correct outputs and only the poisoned lane fails — with an
-//! explicit [`RequestError`], never silence. Admitted requests are
-//! thus *resolved* (served or explicitly failed), never lost, and
-//! [`Server::shutdown`] still drains and joins cleanly.
+//! explicit [`RequestError`], never silence. Each solo retry is its own
+//! batch of one: booked as such and answered as soon as it finishes.
+//! Admitted requests are thus *resolved* (served or explicitly
+//! failed), never lost, and [`Server::shutdown`] still drains and joins
+//! cleanly.
 
 use crate::{
     Batch, BatchConfig, BatchItem, Clock, InferOutput, Metrics, MetricsSnapshot, ModelId,
@@ -66,10 +66,6 @@ pub struct ServeConfig {
     /// other shards' queues. Stealing moves whole released batches
     /// only, so it cannot reorder or re-bit anything.
     pub steal: bool,
-    /// Whether workers admit queued same-model requests into in-flight
-    /// batches at layer boundaries (continuous batching). Joiners'
-    /// outputs stay bitwise identical to solo runs.
-    pub continuous: bool,
     /// Per-worker execution thread budget. At startup every shard's
     /// registry clone is clamped to at most this many threads per
     /// call, so total demand is bounded by `shards × workers × budget`
@@ -107,15 +103,14 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// One shard of two workers, stealing and continuous batching on,
-    /// an even per-worker split of the machine, default batching, no
-    /// SLO-based shedding, no fault injection.
+    /// One shard of two workers, stealing on, an even per-worker split
+    /// of the machine, default batching, no SLO-based shedding, no
+    /// fault injection.
     fn default() -> ServeConfig {
         ServeConfig {
             shards: 1,
             workers: 2,
             steal: true,
-            continuous: true,
             exec_threads_per_worker: None,
             batch: BatchConfig::default(),
             slo: None,
@@ -216,8 +211,8 @@ pub struct InferResult {
     pub queue_wait: Duration,
     /// End-to-end latency (admission to response).
     pub latency: Duration,
-    /// How many requests shared the executed batch (for a continuously
-    /// grown batch: the final lane count).
+    /// How many requests shared the executed batch (1 for a lane
+    /// retried alone after a worker fault).
     pub batch_size: usize,
 }
 
@@ -286,7 +281,6 @@ struct Inner {
     registries: Vec<ModelRegistry>,
     clock: Arc<dyn Clock>,
     slo: Option<Duration>,
-    continuous: bool,
     inject_panic_seed: Option<u64>,
     shards: ShardSet<Ticket>,
     metrics: Metrics,
@@ -311,9 +305,9 @@ impl Inner {
         }
     }
     /// One worker's life on `shard`: take a due batch (home first,
-    /// then steal), execute it with continuous admission, respond;
-    /// park until a deadline or a submit otherwise. Exits only when
-    /// shutdown is flagged *and* every shard's queue is drained.
+    /// then steal), execute it, respond; park until a deadline or a
+    /// submit otherwise. Exits only when shutdown is flagged *and*
+    /// every shard's queue is drained.
     fn worker_loop(&self, shard: usize) {
         loop {
             if self.shutdown.load(Ordering::Acquire) {
@@ -349,77 +343,24 @@ impl Inner {
         }
     }
 
-    /// Executes one released batch on `shard`'s worker group — growing
-    /// it at layer boundaries when continuous batching is on — and
+    /// Executes one released batch on `shard`'s worker group and
     /// resolves every lane's response. `released` is the clock reading
     /// at which the batch left its queue.
     fn execute(&self, shard: usize, batch: Batch<Ticket>, stolen: bool, released: Duration) {
-        let entry = self.registries[shard].entry(batch.model);
-        let model = batch.model;
-        let cap = self.shards.cap(model);
-        let continuous = self.continuous && !self.shutdown.load(Ordering::Acquire);
+        let Batch { model, requests } = batch;
+        let entry = self.registries[shard].entry(model);
         let poison = self.inject_panic_seed;
-        let initial = batch.requests;
-        // Lanes admitted mid-flight live outside the unwind scope so a
-        // panic cannot lose them: whatever was pulled off the queue
-        // before the fault is still here for the retry pass.
-        let admitted: Mutex<Vec<BatchItem<Ticket>>> = Mutex::new(Vec::new());
-
         let started = self.clock.now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if poison.is_some_and(|p| initial.iter().any(|r| r.payload.seed == p)) {
+            if poison.is_some_and(|p| requests.iter().any(|r| r.payload.seed == p)) {
                 panic!("injected worker fault");
             }
-            let seeds: Vec<u64> = initial.iter().map(|r| r.payload.seed).collect();
-            entry.infer_batch_continuous(
-                seeds,
-                |&s| s,
-                |boundary| {
-                    if !continuous {
-                        return Vec::new();
-                    }
-                    let free = cap.saturating_sub(boundary.lanes);
-                    if free == 0 {
-                        return Vec::new();
-                    }
-                    let joiners = self.shards.admit_into(model, free);
-                    // Each joiner dispatched here instead of via a
-                    // released batch: its trace records the join layer.
-                    let at = self.clock.now();
-                    for joiner in &joiners {
-                        let join = ReqEvent::new(
-                            joiner.seq,
-                            at,
-                            ReqEventKind::Join { layer: boundary.next_layer as u32 },
-                        );
-                        wino_obs::record_req(&join);
-                        self.flight.record(shard, join);
-                    }
-                    if poison.is_some_and(|p| joiners.iter().any(|r| r.payload.seed == p)) {
-                        // Keep the fault observable even when the poisoned
-                        // request joins mid-flight.
-                        let mut lanes = admitted.lock().expect("admitted lanes");
-                        lanes.extend(joiners);
-                        panic!("injected worker fault");
-                    }
-                    let seeds: Vec<u64> = joiners.iter().map(|r| r.payload.seed).collect();
-                    admitted.lock().expect("admitted lanes").extend(joiners);
-                    seeds
-                },
-            )
+            let seeds: Vec<u64> = requests.iter().map(|r| r.payload.seed).collect();
+            entry.infer_batch(&seeds)
         }));
         let finished = self.clock.now();
-
-        // Lane order of `outcome` is initial-then-admitted — exactly
-        // how `run_layers_admitting` returns and how we rebuild the
-        // request list here.
-        let mut requests = initial;
-        requests.extend(admitted.into_inner().unwrap_or_else(|e| e.into_inner()));
-
         match outcome {
-            Ok(lanes) => {
-                let outputs: Vec<InferOutput> =
-                    lanes.into_iter().map(|(_, output)| output).collect();
+            Ok(outputs) => {
                 self.respond(shard, stolen, model, requests, outputs, released, started, finished)
             }
             Err(payload) => {
@@ -434,10 +375,11 @@ impl Inner {
     }
 
     /// The fault path: the batch's worker panicked, so every lane is
-    /// retried alone. Innocent lanes get their (bitwise-correct) solo
-    /// outputs; a lane that faults again — deterministically, for the
-    /// injected poison seed — resolves to an explicit [`RequestError`].
-    #[allow(clippy::too_many_arguments)]
+    /// retried alone — each retry a batch of one, booked and answered
+    /// as soon as it finishes. Innocent lanes get their
+    /// (bitwise-correct) solo outputs; a lane that faults again —
+    /// deterministically, for the injected poison seed — resolves to an
+    /// explicit [`RequestError`].
     fn retry_solo(
         &self,
         shard: usize,
@@ -448,10 +390,9 @@ impl Inner {
         released: Duration,
     ) {
         let entry = self.registries[shard].entry(model);
-        let mut served: Vec<(BatchItem<Ticket>, InferOutput)> = Vec::new();
-        let started = self.clock.now();
         for request in requests {
             let seed = request.payload.seed;
+            let started = self.clock.now();
             let retry_event = ReqEvent::new(request.seq, started, ReqEventKind::PanicRetry);
             wino_obs::record_req(&retry_event);
             self.flight.record(shard, retry_event);
@@ -461,11 +402,21 @@ impl Inner {
                 }
                 entry.infer_one(seed)
             }));
+            let finished = self.clock.now();
             match retry {
-                Ok(output) => served.push((request, output)),
+                Ok(output) => self.respond(
+                    shard,
+                    stolen,
+                    model,
+                    vec![request],
+                    vec![output],
+                    released,
+                    started,
+                    finished,
+                ),
                 Err(_) => {
                     self.metrics.record_failed(model, shard, 1);
-                    let failed = ReqEvent::new(request.seq, self.clock.now(), ReqEventKind::Failed);
+                    let failed = ReqEvent::new(request.seq, finished, ReqEventKind::Failed);
                     wino_obs::record_req(&failed);
                     self.flight.record(shard, failed);
                     request.payload.slot.fulfill(Err(RequestError {
@@ -475,11 +426,6 @@ impl Inner {
                     }));
                 }
             }
-        }
-        let finished = self.clock.now();
-        if !served.is_empty() {
-            let (requests, outputs): (Vec<_>, Vec<_>) = served.into_iter().unzip();
-            self.respond(shard, stolen, model, requests, outputs, released, started, finished);
         }
         // The fault path ran to completion: leave the black box behind,
         // panic-retry and failure events included.
@@ -648,7 +594,6 @@ impl Server {
             registries,
             clock,
             slo: config.slo,
-            continuous: config.continuous,
             inject_panic_seed: config.inject_panic_seed,
             shards,
             metrics,

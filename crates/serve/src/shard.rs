@@ -29,7 +29,7 @@
 //! [`poll_or_park`](ShardSet::poll_or_park) (how
 //! [`Server`](crate::Server) worker groups wait for work).
 
-use crate::{Batch, BatchConfig, BatchItem, DynamicBatcher, Poll, Priority, SubmitError};
+use crate::{Batch, BatchConfig, DynamicBatcher, Poll, Priority, SubmitError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind};
@@ -176,11 +176,10 @@ impl<T> ShardSet<T> {
     fn trace_dispatch(&self, batch: &Batch<T>, from: usize, polled: usize, now: Duration) {
         let lanes = batch.requests.len() as u32;
         for item in &batch.requests {
-            // A discrete-event driver can admit arrivals ahead of
-            // another worker's poll instant (mid-batch injection), so
-            // a full batch may release "before" a lane was enqueued.
-            // Dispatch cannot causally precede admission: stamp each
-            // lane at the later of the two.
+            // A submitter may stamp its arrival after the polling
+            // worker read `now`, so a batch may release "before" a
+            // lane was enqueued. Dispatch cannot causally precede
+            // admission: stamp each lane at the later of the two.
             let at = now.max(item.enqueued_at);
             let batched =
                 ReqEvent::new(item.seq, at, ReqEventKind::Batched { shard: from as u32, lanes });
@@ -275,15 +274,6 @@ impl<T> ShardSet<T> {
         ShardPoll::Wait(hint)
     }
 
-    /// Pops up to `limit` queued requests for `model` from its home
-    /// shard in release order — the continuous-batching admission path
-    /// (see [`DynamicBatcher::take_for_model`]): a worker mid-batch at
-    /// a layer boundary calls this to fill its free lanes with
-    /// requests that arrived after the batch released.
-    pub fn admit_into(&self, model: usize, limit: usize) -> Vec<BatchItem<T>> {
-        self.with_home(model, |q| q.take_for_model(model, limit))
-    }
-
     /// Releases one batch from the first non-empty shard regardless of
     /// deadlines — the shutdown drain loop's step. Returns `None` only
     /// when every shard is empty. `now` stamps the dispatch events of
@@ -300,11 +290,6 @@ impl<T> ShardSet<T> {
     /// Requests queued for `model` (on its home shard).
     pub fn queued(&self, model: usize) -> usize {
         self.with_home(model, |q| q.queued(model))
-    }
-
-    /// The effective batch cap of `model` (identical on every shard).
-    pub fn cap(&self, model: usize) -> usize {
-        self.with_home(model, |q| q.cap(model))
     }
 
     /// Requests queued across every shard.
@@ -414,17 +399,6 @@ mod tests {
         let s = set(false);
         s.submit(2, Priority::Normal, 9, at(3)).unwrap();
         assert!(matches!(s.poll_at(0, at(4)), ShardPoll::Wait(None)));
-    }
-
-    #[test]
-    fn admit_into_pulls_from_the_home_queue_in_release_order() {
-        let s = set(true);
-        s.submit(0, Priority::Low, 30, at(0)).unwrap();
-        s.submit(0, Priority::High, 10, at(1)).unwrap();
-        s.submit(0, Priority::Normal, 20, at(1)).unwrap();
-        let taken: Vec<u64> = s.admit_into(0, 2).iter().map(|r| r.payload).collect();
-        assert_eq!(taken, [30, 10], "oldest first, then class order");
-        assert_eq!(s.queued(0), 1);
     }
 
     #[test]

@@ -152,9 +152,47 @@ fn fault_leaves_a_black_box_dump_behind() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Repeated faults on a continuously-batched, multi-shard server:
-/// whatever batch the poison lands in (initial lanes or a mid-flight
-/// joiner), the accounting invariant holds — every submission is
+/// The solo retries of a faulted batch are batches of one: every
+/// innocent reports `batch_size == 1`, and the shard books one batch
+/// per solo run (the faulted batch itself served nobody).
+#[test]
+fn solo_retries_are_answered_and_booked_as_batches_of_one() {
+    let server = Server::start(
+        toy_registry(8),
+        ServeConfig {
+            workers: 1,
+            inject_panic_seed: Some(POISON),
+            // An hour-long max_wait: only a full batch of four
+            // releases, so all four requests share the faulted batch.
+            batch: BatchConfig {
+                max_batch: 4,
+                max_wait: Duration::from_secs(3600),
+                queue_capacity: 64,
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let seeds = [1u64, POISON, 2, 3];
+    let handles: Vec<_> = seeds
+        .iter()
+        .map(|&seed| server.submit(&"toy".into(), Priority::Normal, seed).expect("admitted"))
+        .collect();
+    for (&seed, handle) in seeds.iter().zip(&handles) {
+        match handle.wait() {
+            Ok(result) => assert_eq!(result.batch_size, 1, "seed {seed} was retried alone"),
+            Err(err) => assert_eq!(err.seed, POISON),
+        }
+    }
+    let snap = server.shutdown();
+    assert_eq!(snap.total_completed(), 3);
+    assert_eq!(snap.total_failed(), 1);
+    assert_eq!(snap.per_shard[0].batches, 3, "one batch per solo retry");
+    assert_eq!(snap.per_model[0].batches, 3);
+    assert_eq!(snap.per_model[0].mean_batch, 1.0);
+}
+
+/// Repeated faults on a multi-shard server: whichever batch the poison
+/// lands in, the accounting invariant holds — every submission is
 /// resolved, failures are counted, and the server survives to serve
 /// correct traffic afterwards.
 #[test]
@@ -166,11 +204,8 @@ fn server_keeps_serving_correctly_after_repeated_faults() {
         ServeConfig {
             shards: 2,
             workers: 1,
-            continuous: true,
             inject_panic_seed: Some(POISON),
             batch: BatchConfig {
-                // Release at 1: later same-model arrivals join at layer
-                // boundaries when a worker is mid-batch.
                 max_batch: 1,
                 max_wait: Duration::from_micros(100),
                 queue_capacity: 64,

@@ -1,36 +1,19 @@
-//! Property tests of the *sharded* serving layer — home routing, work
-//! stealing and continuous batching — driven entirely by a virtual
-//! clock so every case is deterministic and shrinkable.
+//! Property tests of the *sharded* serving layer — home routing and
+//! work stealing — driven entirely by a virtual clock so every case is
+//! deterministic and shrinkable.
 //!
 //! The invariants under test generalize the single-queue ones in
-//! `serve_props.rs` to arbitrary shard counts, steal schedules and
-//! mid-batch admission points:
+//! `serve_props.rs` to arbitrary shard counts and steal schedules:
 //!
 //! 1. **Admitted ⇒ resolved, exactly once.** However polls, steals and
 //!    drains interleave, every submitted request leaves the shard set
 //!    in exactly one released batch.
 //! 2. **No reordering within a (model, priority-class) pair**, even
 //!    when idle shards steal another shard's released batches.
-//! 3. **Continuous batching never changes results.** Whatever layer
-//!    boundaries new requests join at, every lane's output is bitwise
-//!    equal to a solo run.
 
 use proptest::prelude::*;
 use std::time::Duration;
-use wino_core::{ConvShape, Workload};
-use wino_exec::{ExecConfig, Schedule};
-use wino_serve::{BatchConfig, Clock, ModelEntry, Priority, ShardPoll, ShardSet, VirtualClock};
-
-/// A two-layer toy model (one Winograd, one strided-spatial layer) —
-/// small enough that a proptest case runs dozens of real convolutions
-/// in milliseconds.
-fn toy_entry(max_batch: usize) -> ModelEntry {
-    let mut wl = Workload::new("toy", max_batch);
-    wl.push("a", "G", ConvShape::same_padded(6, 6, 2, 3, 3));
-    wl.push("b", "G", ConvShape { h: 6, w: 6, c: 3, k: 2, r: 3, stride: 2, pad: 1 });
-    let schedule = Schedule::homogeneous(&wl, 2).unwrap();
-    ModelEntry::new("toy".into(), wl, schedule, ExecConfig::with_threads(2), 9).unwrap()
-}
+use wino_serve::{BatchConfig, Clock, Priority, ShardPoll, ShardSet, VirtualClock};
 
 fn priority_of(tag: u8) -> Priority {
     match tag % 3 {
@@ -158,97 +141,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Invariant (3), plus (1) under continuous batching: requests that
-    /// join an in-flight batch at arbitrary layer boundaries — after
-    /// arriving mid-execution — are all served, exactly once, with
-    /// outputs bitwise equal to solo runs.
-    #[test]
-    fn continuous_admission_points_serve_bitwise(
-        shard_count in 1usize..4,
-        all_seeds in prop::collection::vec(0u64..1_000, 13),
-        seed_count in 3usize..14,
-        tags in prop::collection::vec(0u8..3, 14),
-        arrive_mid_batch in prop::collection::vec(any::<bool>(), 14),
-        admit_caps in prop::collection::vec(0usize..7, 32),
-        advance_us in 1u64..200,
-    ) {
-        let seeds = &all_seeds[..seed_count.min(all_seeds.len())];
-        let entry = toy_entry(6);
-        let cap = entry.max_batch();
-        let clock = VirtualClock::new();
-        let config = BatchConfig {
-            max_batch: 2, // small releases leave a queue for joiners
-            max_wait: Duration::from_micros(50),
-            queue_capacity: seeds.len(),
-        };
-        let set: ShardSet<u64> = ShardSet::new(shard_count, vec![cap], config, true);
-
-        // Split arrivals: some are queued up front, the rest arrive
-        // "mid-batch" — submitted from inside the admission hook, as a
-        // concurrent submitter would.
-        let mut upfront: Vec<(u64, Priority)> = Vec::new();
-        let mut late: Vec<(u64, Priority)> = Vec::new();
-        for (i, &seed) in seeds.iter().enumerate() {
-            let p = priority_of(tags[i % tags.len()]);
-            if i > 0 && arrive_mid_batch[i % arrive_mid_batch.len()] {
-                late.push((seed, p));
-            } else {
-                upfront.push((seed, p));
-            }
-        }
-        for &(seed, p) in &upfront {
-            set.submit(0, p, seed, clock.now()).unwrap();
-        }
-
-        let mut served: Vec<u64> = Vec::new();
-        let mut boundary_no = 0usize;
-        let mut guard = 0;
-        while served.len() < seeds.len() {
-            clock.advance(Duration::from_micros(advance_us));
-            // A "mid-batch" arrival with no batch in flight to join
-            // arrives between batches instead.
-            if set.is_empty() {
-                if let Some((seed, p)) = late.pop() {
-                    set.submit(0, p, seed, clock.now()).unwrap();
-                }
-            }
-            let shard = guard % shard_count;
-            if let ShardPoll::Ready { batch, .. } = set.poll_at(shard, clock.now()) {
-                let initial: Vec<u64> = batch.requests.iter().map(|r| r.payload).collect();
-                let lanes = entry.infer_batch_continuous(initial, |&s| s, |boundary| {
-                    // Mid-execution arrivals land in the queue first...
-                    if let Some((seed, p)) = late.pop() {
-                        set.submit(0, p, seed, clock.now()).unwrap();
-                    }
-                    // ...then the worker admits up to the free lanes,
-                    // throttled by a random per-boundary budget.
-                    let free = cap - boundary.lanes;
-                    let budget = admit_caps[boundary_no % admit_caps.len()].min(free);
-                    boundary_no += 1;
-                    set.admit_into(0, budget).into_iter().map(|r| r.payload).collect()
-                });
-                for (seed, output) in lanes {
-                    prop_assert!(
-                        output == entry.infer_one(seed),
-                        "seed {} diverged from its solo run",
-                        seed
-                    );
-                    served.push(seed);
-                }
-            }
-            guard += 1;
-            prop_assert!(guard < 10_000, "shard set failed to drain ({}/{} served)",
-                served.len(), seeds.len());
-        }
-
-        // Exactly once: the served multiset equals the submitted one.
-        prop_assert!(late.is_empty());
-        prop_assert!(set.is_empty());
-        let mut want = seeds.to_vec();
-        want.sort_unstable();
-        served.sort_unstable();
-        prop_assert_eq!(served, want);
     }
 }

@@ -19,7 +19,7 @@
 //! turns search results into runnable, oracle-verified schedules, and
 //! `wino-serve`, a multi-tenant serving subsystem (model registry,
 //! dynamic batcher, SLO-aware admission, sharded worker groups with
-//! work stealing and continuous batching, per-shard latency metrics)
+//! work stealing of released batches, per-shard latency metrics)
 //! that puts a request path in front of the execution engine, and
 //! `wino-obs`, a dependency-free, zero-cost-when-disabled
 //! observability layer (tracing spans, phase-level profiling,

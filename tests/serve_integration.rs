@@ -3,7 +3,7 @@
 //! precisions, kernel banks pre-transformed), a running server, mixed
 //! priorities, and the two serving invariants (bitwise equality with
 //! direct execution; every admitted request answered) — including the
-//! sharded, work-stealing, continuously-batched configuration.
+//! sharded, work-stealing configuration.
 
 use winofpga::prelude::*;
 
@@ -73,12 +73,12 @@ fn served_quantized_variant_differs_from_float_as_designed() {
 }
 
 #[test]
-fn sharded_continuous_server_stays_bitwise_under_bursty_traffic() {
-    // The full tentpole configuration through the facade: 3 shards of
-    // 2 workers, stealing and continuous batching on, 8 models routed
-    // across shards by home index, 96 rapid-fire mixed-priority
-    // requests. Every response must equal its solo run bitwise and
-    // every admitted request must be answered.
+fn sharded_server_stays_bitwise_under_bursty_traffic() {
+    // The full sharded configuration through the facade: 3 shards of
+    // 2 workers, stealing on, 8 models routed across shards by home
+    // index, 96 rapid-fire mixed-priority requests. Every response
+    // must equal its solo run bitwise and every admitted request must
+    // be answered.
     let registry = ModelRegistry::standard(4, 1).expect("standard registry");
     let ids: Vec<_> = registry.entries().iter().map(|e| e.id().clone()).collect();
     let direct: Vec<_> = (0..96u64)
@@ -94,7 +94,6 @@ fn sharded_continuous_server_stays_bitwise_under_bursty_traffic() {
             shards: 3,
             workers: 2,
             steal: true,
-            continuous: true,
             exec_threads_per_worker: Some(1),
             batch: BatchConfig {
                 max_batch: 4,
