@@ -1,30 +1,13 @@
-//! FFT-based convolution — the other "fast convolution" family.
+//! FFT primitives and the FFT-convolution cost model — the other "fast
+//! convolution" family.
 //!
 //! The paper (Sec. I/II-C, citing Vasilache et al.) argues FFT
 //! convolutions "show savings only for high kernel sizes and are not
-//! applicable to most layers of modern CNNs". This module implements a
-//! radix-2 complex FFT and 2-D FFT convolution so that claim is
-//! reproducible: [`fft_conv_complexity`] vs the Winograd/spatial counts
-//! shows the crossover as `r` grows.
-//!
-//! The prepare-once state — twiddle factors for every butterfly stage
-//! and the flipped kernel spectra — is computed exactly once per
-//! [`fft_convolve`] call (see [`FftPlan`]), not per image or per stage,
-//! so the reference is an honest baseline for the prepared
-//! `wino-exec::PreparedFft` backend.
-//!
-//! **Real-input packing note.** This reference transforms each real
-//! plane as a full complex FFT for clarity, spending twice the
-//! arithmetic a real-input transform needs: two real rows can ride one
-//! complex FFT (pack `z = a + i·b`, then split `A[v] = (Z[v] +
-//! conj(Z[n−v]))/2`, `B[v] = (Z[v] − conj(Z[n−v]))/(2i)`), and Hermitian
-//! symmetry `F(u, v) = conj(F(−u, −v))` means only the `n·(n/2+1)`
-//! half-plane bins need storing or multiplying. The prepared backend
-//! and the `fft_layer_mults` cost model in `wino-core` both use that
-//! packing; this module documents it but keeps the straightforward
-//! complex path as the oracle.
-
-use wino_tensor::{Shape4, Tensor4};
+//! applicable to most layers of modern CNNs". [`fft_conv_complexity`]
+//! vs the Winograd/spatial counts shows that crossover as `r` grows;
+//! the convolution itself is `wino-exec::PreparedFft`, an overlap–save
+//! engine built on the radix-2 [`FftPlan`] defined here (twiddles
+//! tabulated once per length, not per call).
 
 /// A complex number over `f64` (FFT-internal precision).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -63,8 +46,7 @@ impl std::ops::Sub for Complex {
     }
 }
 
-/// Precomputed twiddle tables for radix-2 FFTs of one length — the
-/// prepare-once half of the reference path.
+/// Precomputed twiddle tables for radix-2 FFTs of one length.
 ///
 /// The naive iterative FFT recomputes `cos`/`sin` per butterfly stage
 /// and grows each stage's twiddle by repeated complex multiplication on
@@ -166,104 +148,6 @@ pub fn fft_in_place(buf: &mut [Complex], inverse: bool) {
     FftPlan::new(buf.len()).run(buf, inverse);
 }
 
-/// 2-D FFT over a row-major `size × size` buffer (rows then columns).
-fn fft2_in_place(plan: &FftPlan, buf: &mut [Complex], size: usize, inverse: bool) {
-    debug_assert_eq!(plan.size(), size);
-    let mut scratch = vec![Complex::default(); size];
-    for row in 0..size {
-        plan.run(&mut buf[row * size..(row + 1) * size], inverse);
-    }
-    for col in 0..size {
-        for row in 0..size {
-            scratch[row] = buf[row * size + col];
-        }
-        plan.run(&mut scratch, inverse);
-        for row in 0..size {
-            buf[row * size + col] = scratch[row];
-        }
-    }
-}
-
-/// Full-layer convolution in the frequency domain.
-///
-/// Same shape contract as
-/// [`spatial_convolve`](crate::spatial_convolve) (stride 1, symmetric
-/// zero padding `pad < r`). Internally each plane is zero-padded to the
-/// next power of two ≥ `H + r − 1`, transformed once, multiplied per
-/// `(k, c)` and accumulated in the frequency domain, then inverse
-/// transformed per `(image, k)`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or `pad >= r`.
-pub fn fft_convolve(input: &Tensor4<f32>, kernels: &Tensor4<f32>, pad: usize) -> Tensor4<f32> {
-    let is = input.shape();
-    let ks = kernels.shape();
-    assert_eq!(is.c, ks.c, "input and kernel channel counts must match");
-    assert_eq!(ks.h, ks.w, "kernels must be square");
-    let r = ks.h;
-    assert!(pad < r, "pad must be < r for FFT windowing");
-    let out_h = is.h + 2 * pad - r + 1;
-    let out_w = is.w + 2 * pad - r + 1;
-    let size = (is.h.max(is.w) + r - 1).next_power_of_two();
-    // Prepare-once state: twiddle tables for every transform below…
-    let plan = FftPlan::new(size);
-
-    // …and the frequency-domain kernels, spatially flipped so the
-    // product is a correlation (Eq. 1) rather than a convolution.
-    let mut kernel_freq: Vec<Vec<Vec<Complex>>> = Vec::with_capacity(ks.n);
-    for k in 0..ks.n {
-        let mut per_channel = Vec::with_capacity(ks.c);
-        for c in 0..ks.c {
-            let mut buf = vec![Complex::default(); size * size];
-            for v in 0..r {
-                for u in 0..r {
-                    buf[(r - 1 - v) * size + (r - 1 - u)].re = kernels.at(k, c, v, u) as f64;
-                }
-            }
-            fft2_in_place(&plan, &mut buf, size, false);
-            per_channel.push(buf);
-        }
-        kernel_freq.push(per_channel);
-    }
-
-    let mut out = Tensor4::zeros(Shape4 { n: is.n, c: ks.n, h: out_h, w: out_w });
-    for img in 0..is.n {
-        // Transform every input channel once.
-        let mut input_freq: Vec<Vec<Complex>> = Vec::with_capacity(is.c);
-        for c in 0..is.c {
-            let mut buf = vec![Complex::default(); size * size];
-            for y in 0..is.h {
-                for x in 0..is.w {
-                    buf[y * size + x].re = input.at(img, c, y, x) as f64;
-                }
-            }
-            fft2_in_place(&plan, &mut buf, size, false);
-            input_freq.push(buf);
-        }
-        for (k, kernel_channels) in kernel_freq.iter().enumerate() {
-            let mut acc = vec![Complex::default(); size * size];
-            for c in 0..is.c {
-                let kf = &kernel_channels[c];
-                for (dst, (&a, &b)) in acc.iter_mut().zip(input_freq[c].iter().zip(kf)) {
-                    *dst = *dst + a * b;
-                }
-            }
-            fft2_in_place(&plan, &mut acc, size, true);
-            let scale = 1.0 / (size * size) as f64;
-            // Linear correlation appears at offset r-1-pad.
-            let off = r - 1 - pad;
-            for y in 0..out_h {
-                for x in 0..out_w {
-                    *out.at_mut(img, k, y, x) =
-                        (acc[(y + off) * size + (x + off)].re * scale) as f32;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Real-multiplication estimate of FFT convolution for one layer,
 /// mirroring Vasilache et al.'s accounting: per (image, tile=whole-plane)
 /// transform cost `O(S² log S)` amortized over channels/kernels plus the
@@ -283,7 +167,6 @@ pub fn fft_conv_complexity(h: usize, w: usize, c: usize, k: usize, r: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spatial_convolve;
     use wino_tensor::SplitMix64;
 
     #[test]
@@ -349,39 +232,6 @@ mod tests {
     fn plan_rejects_mismatched_buffer() {
         let mut buf = vec![Complex::default(); 16];
         FftPlan::new(32).run(&mut buf, false);
-    }
-
-    #[test]
-    fn matches_spatial_convolution() {
-        let mut rng = SplitMix64::new(9);
-        let input = Tensor4::from_fn(Shape4 { n: 2, c: 3, h: 9, w: 7 }, |_, _, _, _| {
-            rng.uniform_f32(-1.0, 1.0)
-        });
-        let kernels = Tensor4::from_fn(Shape4 { n: 2, c: 3, h: 3, w: 3 }, |_, _, _, _| {
-            rng.uniform_f32(-1.0, 1.0)
-        });
-        for pad in [0usize, 1] {
-            let fft = fft_convolve(&input, &kernels, pad);
-            let refr = spatial_convolve(&input, &kernels, pad);
-            assert_eq!(fft.shape(), refr.shape());
-            let stats = wino_tensor::ErrorStats::between(fft.as_slice(), refr.as_slice());
-            assert!(stats.within_abs(1e-4), "pad={pad}: {stats}");
-        }
-    }
-
-    #[test]
-    fn matches_spatial_with_large_kernel() {
-        let mut rng = SplitMix64::new(10);
-        let input = Tensor4::from_fn(Shape4 { n: 1, c: 1, h: 16, w: 16 }, |_, _, _, _| {
-            rng.uniform_f32(-1.0, 1.0)
-        });
-        let kernels = Tensor4::from_fn(Shape4 { n: 1, c: 1, h: 7, w: 7 }, |_, _, _, _| {
-            rng.uniform_f32(-1.0, 1.0)
-        });
-        let fft = fft_convolve(&input, &kernels, 3);
-        let refr = spatial_convolve(&input, &kernels, 3);
-        let stats = wino_tensor::ErrorStats::between(fft.as_slice(), refr.as_slice());
-        assert!(stats.within_abs(1e-3), "{stats}");
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! This is the software analogue of the paper's Fig. 1 claim: the
 //! element-wise multiply reduction translates into real speedups once the
-//! transforms are amortized over channels and kernels.
+//! transforms are amortized over channels and kernels. The three prepared
+//! backends (im2col GEMM, overlap–save FFT, Winograd) are prepared outside
+//! the timed closure, so only single-threaded `execute` is measured; the
+//! spatial oracle is the unprepared baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use wino_baselines::{fft_convolve, im2col_convolve, spatial_convolve};
-use wino_core::{WinogradAlgorithm, WinogradParams};
+use wino_baselines::spatial_convolve;
+use wino_core::WinogradParams;
+use wino_exec::{PreparedFft, PreparedSpatial, PreparedWinograd};
 use wino_tensor::{Shape4, SplitMix64, Tensor4};
 
 fn layer(rng: &mut SplitMix64, c: usize, k: usize, hw: usize) -> (Tensor4<f32>, Tensor4<f32>) {
@@ -26,15 +30,17 @@ fn bench_conv(criterion: &mut Criterion) {
     group.sample_size(10).measurement_time(Duration::from_secs(3));
 
     group.bench_function("spatial", |b| b.iter(|| spatial_convolve(&input, &kernels, 1)));
-    group.bench_function("im2col_gemm", |b| b.iter(|| im2col_convolve(&input, &kernels, 1)));
-    group.bench_function("fft", |b| b.iter(|| fft_convolve(&input, &kernels, 1)));
+    let spatial = PreparedSpatial::new(&kernels, 1);
+    group.bench_function("im2col_gemm", |b| b.iter(|| spatial.execute(&input, 1, 1)));
+    let fft = PreparedFft::new(16, &kernels);
+    group.bench_function("fft", |b| b.iter(|| fft.execute(&input, 1, 1)));
     for m in [2usize, 4, 6] {
-        let algo = WinogradAlgorithm::<f32>::for_params(WinogradParams::new(m, 3).expect("valid"))
-            .expect("generates");
+        let params = WinogradParams::new(m, 3).expect("valid");
+        let bank = PreparedWinograd::new(params, &kernels).expect("bank prepares");
         group.bench_with_input(
             BenchmarkId::new("winograd", format!("F({m}x{m},3x3)")),
             &m,
-            |b, _| b.iter(|| algo.convolve_layer(&input, &kernels, 1)),
+            |b, _| b.iter(|| bank.execute(&input, 1, 1)),
         );
     }
     group.finish();

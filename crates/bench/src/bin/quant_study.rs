@@ -25,8 +25,10 @@
 //! Acceptance (pinned at the end): `Q22.10` at `m = 2` keeps VGG16-D
 //! conv-layer inference within 0.05 max-abs of the float oracle.
 
+use std::path::Path;
 use wino_exec::{quant_error_bound, ExecConfig, NetworkExecutor, QuantConfig, Schedule};
 use wino_models::{alexnet, resnet18, shrink, tiny_cnn, vgg16d};
+use wino_obs::write_atomic;
 use wino_search::{ParetoArchive, SearchObjective, SearchSpace};
 use wino_tensor::ErrorStats;
 
@@ -170,7 +172,7 @@ fn main() {
         acceptance.max_abs_err
     ));
 
-    std::fs::write("BENCH_quant.json", &json).expect("write BENCH_quant.json");
+    write_atomic(Path::new("BENCH_quant.json"), &json).expect("write BENCH_quant.json");
     println!(
         "\nwrote BENCH_quant.json: {cells} cells per workload, front keeps {kept} designs",
         cells = vgg_cells.len(),

@@ -3,7 +3,8 @@
 //! discrete-event simulation over the *real* [`ShardSet`], with modeled
 //! layer service times), plus a smaller wall-clock storm (10³⁺
 //! requests) through a real threaded [`Server`].
-//! Results merge into `BENCH_serve.json` under the `"storm"` key.
+//! The run writes `BENCH_serve.json` whole: the storm results under the
+//! `"storm"` key, the SLO study under `"slo"`.
 //!
 //! The trace has four phases: steady load, an overload spike (~6×
 //! arrival rate, driving queues to rejection), tenant skew (~70 % of
@@ -42,7 +43,7 @@
 //!    virtual time. The overload spike **must** trip a fast-burn
 //!    alert, and the steady phase before it must stay quiet — the
 //!    alerting pipeline is regression-tested end to end, in CI, with
-//!    zero wall-clock flakiness. Results merge into `BENCH_serve.json`
+//!    zero wall-clock flakiness. Results land in `BENCH_serve.json`
 //!    as the `"slo"` section.
 //!
 //! `--virtual-only` skips the wall-clock storm (used by CI, where
@@ -55,10 +56,7 @@ use std::iter::Peekable;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wino_obs::{
-    update_artifact, validate_json, write_atomic, FlightRecorder, ReqEvent, ReqEventKind,
-    TraceIndex,
-};
+use wino_obs::{validate_json, write_atomic, FlightRecorder, ReqEvent, ReqEventKind, TraceIndex};
 use wino_serve::{
     BatchConfig, LatencyHistogram, Metrics, ModelRegistry, Priority, ServeConfig, Server,
     ShardPoll, ShardSet, SloAlert, SloEngine, SloPolicy,
@@ -698,8 +696,6 @@ fn main() {
     let _ = writeln!(json, "    \"baseline\": {},", outcome_json(&baseline));
     let _ = writeln!(json, "    \"sharded\": {},", outcome_json(&sharded));
     let _ = write!(json, "    \"system\": {system}\n  }}");
-    update_artifact(Path::new("BENCH_serve.json"), "storm", &json)
-        .expect("update BENCH_serve.json");
 
     // --- BENCH_serve.json, section "slo" ---
     let mut slo_json = String::new();
@@ -734,7 +730,9 @@ fn main() {
         );
     }
     slo_json.push_str("]\n  }");
-    update_artifact(Path::new("BENCH_serve.json"), "slo", &slo_json)
-        .expect("update BENCH_serve.json");
-    println!("merged storm and slo sections into BENCH_serve.json");
+
+    let doc = format!("{{\n  \"storm\": {json},\n  \"slo\": {slo_json}\n}}\n");
+    validate_json(&doc).expect("BENCH_serve.json is valid JSON");
+    write_atomic(Path::new("BENCH_serve.json"), &doc).expect("write BENCH_serve.json");
+    println!("wrote BENCH_serve.json (storm + slo)");
 }

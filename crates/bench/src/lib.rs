@@ -17,19 +17,21 @@
 //! | `engine_demo` | Fig. 7 — cycle-level system simulation |
 //! | `error_growth` | fp32 accuracy vs tile size (precision discussion) |
 //! | `overhead` | Sec. IV-C transform-overhead ratios (Eq. 7) |
-//! | `speedup` | `wino-exec` vs spatial-oracle wall time → `BENCH_exec.json` |
+//! | `crossover` | spatial vs Winograd vs FFT per layer, and the search's pick → `BENCH_exec.json` |
 //! | `quant_study` | fixed-point FRAC × m accuracy surface → `BENCH_quant.json` |
-//! | `serve_load` | `wino-serve` open-loop serving study → `BENCH_serve.json` |
-//! | `obs_overhead` | `wino-obs` overhead self-test + phase coverage → `BENCH_obs.json` |
+//! | `serve_storm` | sharded serving storm + SLO alerting (virtual clock) → `BENCH_serve.json` |
+//!
+//! Throughput and latency are measured by the repo benchmark
+//! (`benchmark/`), not by these binaries.
 //!
 //! Run all of them:
 //!
 //! ```sh
 //! for b in fig1 fig2 fig3 fig4 fig5 fig6 table1 table2 roofline \
-//!          engine_demo error_growth overhead speedup quant_study \
-//!          serve_load obs_overhead; do
+//!          engine_demo error_growth overhead crossover quant_study; do
 //!     cargo run --release -p wino-bench --bin $b
 //! done
+//! cargo run --release -p wino-bench --bin serve_storm -- --virtual-only
 //! ```
 //!
 //! `EXPERIMENTS.md` at the repository root pairs each binary with the

@@ -24,7 +24,7 @@ pub struct LayerReport {
     /// via [`wino_obs::collect`]. The phases nest strictly inside the
     /// layer's wall-clock, so their sum is ≤ `millis`; on the Winograd
     /// engine the three pipeline phases cover ≥ 90% of it for
-    /// non-trivial layers (pinned by the `obs_overhead` bench).
+    /// non-trivial layers (pinned by the `phase_coverage` test).
     pub phase_millis: Vec<(String, f64)>,
     /// Effective throughput in GFLOP/s (spatial-equivalent operations
     /// over wall time — the software analogue of the paper's GOPS).

@@ -1,115 +1,12 @@
-//! Section-merging for shared JSON bench artifacts.
+//! Crash-safe artifact writes.
 //!
-//! `BENCH_obs.json` is written by several bench binaries (`speedup`,
-//! `serve_load`, `obs_overhead`), each owning one top-level key. A
-//! plain "write the whole file" would make whichever bench ran last
-//! clobber the others, so this module implements a minimal top-level
-//! JSON object merge: replace (or append) one key's value, preserve
-//! every other key's text verbatim.
-//!
-//! Updates are crash-safe and concurrency-safe: the merged document is
-//! written to a temp file in the same directory and renamed into place
-//! (readers never observe a torn artifact), and the read-modify-write
-//! cycle holds a sibling `<name>.lock` advisory lock file so two bench
-//! binaries merging different sections cannot lose each other's
-//! update.
+//! Every `BENCH_*.json` study artifact has exactly one writer, which
+//! renders the whole document and hands it to [`write_atomic`]; the
+//! flight recorder dumps its ring the same way.
 
-use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Splits the body of a top-level JSON object into `(key, value-text)`
-/// pairs, preserving each value's original text. Returns `None` when
-/// the input is not a JSON object (callers then start fresh).
-fn split_top_level(text: &str) -> Option<Vec<(String, String)>> {
-    let text = text.trim();
-    let body = text.strip_prefix('{')?.strip_suffix('}')?;
-    let bytes = body.as_bytes();
-    let mut pairs = Vec::new();
-    let mut i = 0;
-    loop {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Some(pairs);
-        }
-        // Key string.
-        if bytes[i] != b'"' {
-            return None;
-        }
-        let (key, after_key) = scan_string(body, i)?;
-        i = after_key;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] != b':' {
-            return None;
-        }
-        i += 1;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        // Value: scan to the top-level comma or end, tracking nesting.
-        let value_start = i;
-        let mut depth = 0usize;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'"' => {
-                    let (_, after) = scan_string(body, i)?;
-                    i = after;
-                    continue;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => depth = depth.checked_sub(1)?,
-                b',' if depth == 0 => break,
-                _ => {}
-            }
-            i += 1;
-        }
-        pairs.push((key, body[value_start..i].trim().to_owned()));
-        if i < bytes.len() {
-            i += 1; // skip the comma
-        }
-    }
-}
-
-/// Scans the JSON string starting at byte `start` (which must be a
-/// `"`), honouring escapes. Returns the unescaped-enough key text
-/// (escapes kept verbatim — keys here are plain identifiers) and the
-/// index just past the closing quote.
-fn scan_string(text: &str, start: usize) -> Option<(String, usize)> {
-    let bytes = text.as_bytes();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some((text[start + 1..i].to_owned(), i + 1)),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Returns `existing` (a top-level JSON object, or anything else —
-/// then treated as empty) with `key` set to `value_json`, other keys
-/// preserved verbatim. `value_json` must already be valid JSON text.
-pub fn merge_section(existing: &str, key: &str, value_json: &str) -> String {
-    let mut pairs = split_top_level(existing).unwrap_or_default();
-    match pairs.iter_mut().find(|(k, _)| k == key) {
-        Some(pair) => pair.1 = value_json.to_owned(),
-        None => pairs.push((key.to_owned(), value_json.to_owned())),
-    }
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        let _ = write!(out, "  \"{k}\": {v}");
-        out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-    }
-    out.push('}');
-    out
-}
 
 /// Monotonic counter distinguishing concurrent temp files within one
 /// process (the pid distinguishes processes).
@@ -134,123 +31,9 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     })
 }
 
-/// An advisory lock held as a sibling `<name>.lock` file; created with
-/// `create_new` so exactly one holder wins, removed on drop.
-struct ArtifactLock {
-    path: PathBuf,
-}
-
-impl ArtifactLock {
-    /// Acquires the lock, waiting with backoff. A lock older than the
-    /// retry budget is presumed stale (its holder crashed between
-    /// create and remove) and is broken: both contenders then write
-    /// atomically, so the worst case is one lost section update, never
-    /// a torn file.
-    fn acquire(artifact: &Path) -> io::Result<ArtifactLock> {
-        let name = artifact.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "artifact path has no file name")
-        })?;
-        let path = artifact.with_file_name(format!("{name}.lock"));
-        for attempt in 0..500u32 {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(_) => return Ok(ArtifactLock { path }),
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    if attempt == 499 {
-                        let _ = std::fs::remove_file(&path);
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        std::fs::OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
-        Ok(ArtifactLock { path })
-    }
-}
-
-impl Drop for ArtifactLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Reads the JSON artifact at `path` (missing or malformed files are
-/// treated as empty), merges `value_json` under `key` with
-/// [`merge_section`], and writes it back followed by a newline.
-///
-/// The whole read-modify-write cycle runs under an advisory
-/// `<name>.lock` file and the final write is atomic
-/// (see [`write_atomic`]), so concurrent updaters of *different*
-/// sections all land and readers never see a torn document.
-pub fn update_artifact(path: &Path, key: &str, value_json: &str) -> io::Result<()> {
-    let _lock = ArtifactLock::acquire(path)?;
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let merged = merge_section(&existing, key, value_json);
-    write_atomic(path, &(merged + "\n"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_into_empty_creates_object() {
-        let merged = merge_section("", "exec", "{\"a\": 1}");
-        assert_eq!(merged, "{\n  \"exec\": {\"a\": 1}\n}");
-    }
-
-    #[test]
-    fn merge_preserves_other_sections_verbatim() {
-        let first = merge_section("", "exec", "{\"a\": [1, 2, {\"b\": \"x,y\"}]}");
-        let second = merge_section(&first, "serve", "{\"p95_ms\": 1.5}");
-        assert!(second.contains("\"exec\": {\"a\": [1, 2, {\"b\": \"x,y\"}]}"));
-        assert!(second.contains("\"serve\": {\"p95_ms\": 1.5}"));
-        // Replacing a section keeps the other intact.
-        let third = merge_section(&second, "exec", "7");
-        assert!(third.contains("\"exec\": 7"));
-        assert!(third.contains("\"serve\": {\"p95_ms\": 1.5}"));
-    }
-
-    #[test]
-    fn merge_handles_strings_with_braces_and_escapes() {
-        let first = merge_section("", "a", "\"va{l\\\"ue,}\"");
-        let second = merge_section(&first, "b", "2");
-        assert!(second.contains("\"a\": \"va{l\\\"ue,}\""));
-        assert!(second.contains("\"b\": 2"));
-    }
-
-    #[test]
-    fn malformed_existing_content_is_replaced() {
-        let merged = merge_section("not json at all", "k", "true");
-        assert_eq!(merged, "{\n  \"k\": true\n}");
-    }
-
-    #[test]
-    fn concurrent_merges_of_distinct_sections_all_land() {
-        let path = std::env::temp_dir()
-            .join(format!("wino_artifact_concurrent_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        const WRITERS: usize = 8;
-        const ROUNDS: usize = 10;
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let path = &path;
-                scope.spawn(move || {
-                    for round in 0..ROUNDS {
-                        update_artifact(path, &format!("writer{w}"), &format!("{round}"))
-                            .expect("merge under contention");
-                    }
-                });
-            }
-        });
-        let body = std::fs::read_to_string(&path).expect("artifact exists");
-        let _ = std::fs::remove_file(&path);
-        crate::json::validate_json(&body).unwrap_or_else(|e| panic!("torn artifact: {e}\n{body}"));
-        for w in 0..WRITERS {
-            let expected = format!("\"writer{w}\": {}", ROUNDS - 1);
-            assert!(body.contains(&expected), "lost update for writer {w}:\n{body}");
-        }
-    }
 
     #[test]
     fn write_atomic_replaces_and_leaves_no_temp_files() {

@@ -2,7 +2,7 @@
 //!
 //! `wino-obs` deliberately has no dependencies, yet it (and the bench
 //! binaries built on it) emit JSON artifacts — profiles, Chrome
-//! traces, flight-recorder dumps, merged `BENCH_*.json` sections —
+//! traces, flight-recorder dumps, the `BENCH_*.json` study artifacts —
 //! that tests must be able to gate on "this actually parses".
 //! [`validate_json`] is a recursive-descent checker over the JSON
 //! grammar (RFC 8259): it accepts or rejects, it does not build a

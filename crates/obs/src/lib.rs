@@ -77,7 +77,7 @@ mod report;
 mod req;
 mod span;
 
-pub use artifact::{merge_section, update_artifact, write_atomic};
+pub use artifact::write_atomic;
 pub use json::validate_json;
 pub use recorder::{AggregatingProfiler, ProfileEntry, ProfileSnapshot, Recorder, TraceRecorder};
 pub use report::{json_escape, MetricFamily, MetricKind, MetricSample, ObsReport};

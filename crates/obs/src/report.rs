@@ -91,8 +91,6 @@ fn format_value(v: f64) -> String {
 
 /// The single entry point for exposition: metric families plus an
 /// optional phase profile, rendered as Prometheus text or JSON.
-/// Benches merge one of these per subsystem into `BENCH_obs.json`
-/// with [`crate::update_artifact`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsReport {
     /// The metric families to expose.

@@ -74,7 +74,7 @@
 //! |---|---|---|
 //! | [`tensor`] | `wino-tensor` | exact rationals, fixed point, tensors |
 //! | [`core`] | `wino-core` | transforms, fast convolution, Eqs. 4–10 |
-//! | [`baselines`] | `wino-baselines` | spatial, im2col+GEMM, FFT |
+//! | [`baselines`] | `wino-baselines` | spatial oracle, FFT primitives, FFT cost model |
 //! | [`models`] | `wino-models` | VGG16-D, AlexNet, ResNet-18 |
 //! | [`fpga`] | `wino-fpga` | devices, resources, power |
 //! | [`engine`] | `wino-engine` | cycle-level engine simulator |
@@ -101,7 +101,7 @@ pub use wino_tensor as tensor;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use wino_baselines::{fft_convolve, im2col_convolve, spatial_convolve};
+    pub use wino_baselines::spatial_convolve;
     pub use wino_core::{
         canonical_points, cse_optimize, transform_ops_2d, transform_ops_for, ConvShape, CostModel,
         TileModel, TransformOps, TransformSet, WinogradAlgorithm, WinogradParams, Workload,

@@ -26,11 +26,11 @@ fn five_implementations_agree() {
     let reference = spatial_convolve(&input, &kernels, 1);
 
     // 1. im2col + GEMM
-    let im2col = im2col_convolve(&input, &kernels, 1);
+    let im2col = PreparedSpatial::new(&kernels, 1).execute(&input, 1, 1);
     assert!(ErrorStats::between(im2col.as_slice(), reference.as_slice()).within_abs(1e-4));
 
-    // 2. FFT
-    let fft = fft_convolve(&input, &kernels, 1);
+    // 2. FFT (overlap–save, 16-point tiles)
+    let fft = PreparedFft::new(16, &kernels).execute(&input, 1, 1);
     assert!(ErrorStats::between(fft.as_slice(), reference.as_slice()).within_abs(1e-4));
 
     // 3. Functional Winograd (several tile sizes)
@@ -60,8 +60,8 @@ fn five_implementations_agree() {
 
 #[test]
 fn exact_rational_chain_is_bit_identical() {
-    // Over exact rationals, Winograd == im2col == spatial, with zero
-    // tolerance — algebra, not luck.
+    // Over exact rationals, Winograd == im2col GEMM == spatial, with
+    // zero tolerance — algebra, not luck.
     let mut rng = SplitMix64::new(7);
     let shape = Shape4 { n: 1, c: 3, h: 8, w: 9 };
     let input = Tensor4::from_fn(shape, |_, _, _, _| ratio(rng.below(9) as i128 - 4, 2));
@@ -69,7 +69,7 @@ fn exact_rational_chain_is_bit_identical() {
         ratio(rng.below(9) as i128 - 4, 3)
     });
     let reference = spatial_convolve(&input, &kernels, 1);
-    assert_eq!(im2col_convolve(&input, &kernels, 1), reference);
+    assert_eq!(PreparedSpatial::new(&kernels, 1).execute(&input, 1, 1), reference);
     for m in [2usize, 3, 5] {
         let set = TransformSet::generate(WinogradParams::new(m, 3).unwrap()).unwrap();
         let algo = WinogradAlgorithm::<Ratio>::exact(&set);
