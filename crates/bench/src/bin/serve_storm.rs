@@ -169,14 +169,17 @@ struct SimConfig {
 
 /// Observability side-car for one simulated run: cumulative metrics
 /// feeding a burn-rate engine on the virtual clock, plus the always-on
-/// per-shard flight recorder. The simulation's *outcome* never depends
-/// on it — gate 4 replays without one and must match byte for byte.
+/// per-shard flight recorder and the request-timeline index, both
+/// attached to the run's [`ShardSet`]. The simulation's *outcome* never
+/// depends on it — gate 4 replays without one and must match byte for
+/// byte.
 struct StormObs {
     metrics: Metrics,
     engine: SloEngine,
     next_observe: Duration,
     alerts: Vec<SloAlert>,
     flight: Arc<FlightRecorder>,
+    trace: Arc<TraceIndex>,
 }
 
 impl StormObs {
@@ -194,17 +197,8 @@ impl StormObs {
             next_observe: OBSERVE_PERIOD,
             alerts: Vec::new(),
             flight: Arc::new(FlightRecorder::new(shards, FLIGHT_CAPACITY)),
+            trace: Arc::new(TraceIndex::new()),
         }
-    }
-}
-
-/// Emits one simulated request-trace event to the global recorder (a
-/// no-op unless tracing is enabled) and mirrors it into the shard
-/// set's flight ring, when one is attached.
-fn trace_sim(set: &ShardSet<u64>, lane: usize, event: ReqEvent) {
-    wino_obs::record_req(&event);
-    if let Some(flight) = set.flight() {
-        flight.record(lane, event);
     }
 }
 
@@ -223,11 +217,7 @@ fn inject(
                 *rejected += 1;
                 // Refused at admission: no seq exists, so the shed
                 // event rides the seq-0 convention.
-                trace_sim(
-                    set,
-                    set.home(item.model),
-                    ReqEvent::new(0, item.arrival, ReqEventKind::Shed),
-                );
+                set.emit(set.home(item.model), ReqEvent::new(0, item.arrival, ReqEventKind::Shed));
             }
         }
     }
@@ -249,7 +239,7 @@ fn simulate(
         BatchConfig { max_batch: 8, max_wait: Duration::from_micros(400), queue_capacity: 512 };
     let mut set: ShardSet<u64> = ShardSet::new(cfg.shards, caps.to_vec(), batch_cfg, cfg.steal);
     if let Some(o) = obs.as_deref_mut() {
-        set = set.with_flight(Arc::clone(&o.flight));
+        set = set.with_flight(Arc::clone(&o.flight)).with_trace(Arc::clone(&o.trace));
     }
     let mut arrivals = trace.iter().peekable();
     let mut out = SimOutcome {
@@ -307,7 +297,7 @@ fn simulate(
                     out.classes[item.priority.index()].record(latency);
                     out.class_counts[item.priority.index()] += 1;
                     stats.latency.record(latency);
-                    trace_sim(&set, shard, ReqEvent::new(item.seq, t_end, ReqEventKind::Resolved));
+                    set.emit(shard, ReqEvent::new(item.seq, t_end, ReqEventKind::Resolved));
                 }
                 if let Some(o) = obs.as_deref_mut() {
                     let priorities: Vec<Priority> = lanes.iter().map(|r| r.priority).collect();
@@ -537,19 +527,15 @@ fn main() {
         SimConfig { shards: 4, workers_per_shard: 1, steal: true, collect_samples: true };
     let wall = Instant::now();
     let baseline = simulate(&trace, &caps, &layer_counts, &baseline_cfg, None);
-    // The sharded run carries the full observability stack: a global
+    // The sharded run carries the full observability stack: a
     // TraceIndex collecting every request event, the per-shard flight
-    // recorder, and the SLO burn-rate engine on the virtual clock.
-    // Tracing is enabled for exactly this run — the replay below must
-    // stay byte-identical with tracing off (gate 4), proving the
+    // recorder, and the SLO burn-rate engine on the virtual clock. Only
+    // this run's shard set has them attached — the replay below must
+    // stay byte-identical without them (gate 4), proving the
     // instrumentation never steers the simulation.
-    let index = Arc::new(TraceIndex::new());
-    wino_obs::set_recorder(Arc::clone(&index) as Arc<dyn wino_obs::Recorder>);
-    wino_obs::enable();
     let mut storm_obs = StormObs::new(caps.len(), sharded_cfg.shards);
     let sharded = simulate(&trace, &caps, &layer_counts, &sharded_cfg, Some(&mut storm_obs));
-    wino_obs::disable();
-    wino_obs::clear_recorder();
+    let index = &storm_obs.trace;
     println!("simulated 2 x {} requests in {:.1} ms wall", VIRTUAL_REQUESTS, ms(wall.elapsed()));
     println!(
         "baseline: served {}/{} (rejected {}), all-class p99 {:.3} ms",
@@ -611,7 +597,7 @@ fn main() {
     );
 
     // Gate 4: determinism — same seed, same summary, byte for byte.
-    // The replay runs with tracing disabled and no obs side-car, so a
+    // The replay runs with no obs side-car (no trace, no flight), so a
     // match also proves the instrumentation is outcome-neutral.
     let replay = simulate(&trace, &caps, &layer_counts, &sharded_cfg, None);
     assert_eq!(

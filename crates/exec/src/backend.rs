@@ -92,10 +92,7 @@ impl<T: Scalar> PreparedSpatial<T> {
         let ks = kernels.shape();
         assert_eq!(ks.h, ks.w, "kernels must be square");
         let depth = ks.c * ks.h * ks.w;
-        let a_pack = {
-            let _prep = Span::enter("exec.prepare", "gemm-pack");
-            pack_a(ks.n, depth, kernels.as_slice(), depth)
-        };
+        let a_pack = pack_a(ks.n, depth, kernels.as_slice(), depth);
         PreparedSpatial { a_pack, k: ks.n, c: ks.c, r: ks.h, stride }
     }
 
@@ -126,7 +123,7 @@ impl<T: Scalar> PreparedSpatial<T> {
         let depth = self.c * r * r;
 
         let _phase = Span::enter("exec.phase", "spatial");
-        let blocks = run_chunked(total.div_ceil(PANEL_TILES), threads, "spatial", |p| {
+        let blocks = run_chunked(total.div_ceil(PANEL_TILES), threads, |p| {
             let np = panel_len(p);
             let cols = self.im2col_panel(input, pad, (out_h, out_w), p * PANEL_TILES, np);
             let mut block = vec![T::zero(); k_out * np];

@@ -5,7 +5,6 @@ use crate::{ExecConfig, PreparedPlan, Schedule, ScheduleError};
 use std::fmt;
 use std::time::Instant;
 use wino_core::{spatial_ops, TransformError, Workload};
-use wino_obs::Span;
 use wino_tensor::{ErrorStats, Shape4, SplitMix64, Tensor4};
 
 /// One layer's outcome in a [`NetworkReport`].
@@ -20,7 +19,7 @@ pub struct LayerReport {
     /// Per-phase breakdown of `millis`, in phase completion order:
     /// `("pack" | "multiply" | "inverse" | "spatial" | "quantize" |
     /// "dequantize", milliseconds)`. Collected from the engine's
-    /// `"exec.phase"` spans on every run — no global tracing needed —
+    /// `"exec.phase"` spans on every run
     /// via [`wino_obs::collect`]. The phases nest strictly inside the
     /// layer's wall-clock, so their sum is ≤ `millis`; on the Winograd
     /// engine the three pipeline phases cover ≥ 90% of it for
@@ -320,11 +319,9 @@ impl NetworkExecutor {
                 let input = self.layer_input(i);
                 let start = Instant::now();
                 // Collect the engine's "exec.phase" spans for this run
-                // (thread-local, independent of global tracing) so the
-                // report carries a per-phase breakdown; the layer span
-                // groups them for any active global recorder too.
+                // (they arm only on this thread, inside this scope) so
+                // the report carries a per-phase breakdown.
                 let (output, spans) = wino_obs::collect(|| {
-                    let _layer = Span::enter("exec.layer", &l.name);
                     self.execute_layer(i, &input).expect("validated plan executes")
                 });
                 let secs = start.elapsed().as_secs_f64().max(1e-9);

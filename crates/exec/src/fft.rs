@@ -194,7 +194,6 @@ impl<T: Scalar> PreparedFft<T> {
         let (mut re_mats, mut im_mats) =
             (vec![0.0f64; nbins * ks.n * ks.c], vec![0.0f64; nbins * ks.n * ks.c]);
         {
-            let _prep = Span::enter("exec.prepare", "kernel-spectra");
             let mut window = vec![0.0f64; n * n];
             for k in 0..ks.n {
                 for c in 0..ks.c {
@@ -217,14 +216,11 @@ impl<T: Scalar> PreparedFft<T> {
         let v_slab = ks.n.div_ceil(MR).max(1) * ks.c * MR;
         let (mut v_re, mut v_im) =
             (Vec::with_capacity(nbins * v_slab), Vec::with_capacity(nbins * v_slab));
-        {
-            let _prep = Span::enter("exec.prepare", "gemm-pack");
-            for bin in 0..nbins {
-                let mat = &re_mats[bin * ks.n * ks.c..(bin + 1) * ks.n * ks.c];
-                v_re.extend_from_slice(&pack_a(ks.n, ks.c, mat, ks.c));
-                let mat = &im_mats[bin * ks.n * ks.c..(bin + 1) * ks.n * ks.c];
-                v_im.extend_from_slice(&pack_a(ks.n, ks.c, mat, ks.c));
-            }
+        for bin in 0..nbins {
+            let mat = &re_mats[bin * ks.n * ks.c..(bin + 1) * ks.n * ks.c];
+            v_re.extend_from_slice(&pack_a(ks.n, ks.c, mat, ks.c));
+            let mat = &im_mats[bin * ks.n * ks.c..(bin + 1) * ks.n * ks.c];
+            v_im.extend_from_slice(&pack_a(ks.n, ks.c, mat, ks.c));
         }
         PreparedFft {
             plan,
@@ -296,7 +292,7 @@ impl<T: Scalar> PreparedFft<T> {
         // Phase 1: gather + forward-transform tile panels, bin-major.
         let u_panels: Vec<(Vec<f64>, Vec<f64>)> = {
             let _phase = Span::enter("exec.phase", "pack");
-            run_chunked(panels, threads, "pack", |p| {
+            run_chunked(panels, threads, |p| {
                 let np = panel_len(p);
                 let coords: Vec<(usize, isize, isize)> = (0..np)
                     .map(|tp| {
@@ -356,7 +352,7 @@ impl<T: Scalar> PreparedFft<T> {
         // against the packed spectrum slabs, combined in fixed order.
         let m_chunks: Vec<(Vec<f64>, Vec<f64>)> = {
             let _phase = Span::enter("exec.phase", "multiply");
-            run_chunked(nbins * panels, threads, "multiply", |item| {
+            run_chunked(nbins * panels, threads, |item| {
                 let (bin, p) = (item / panels, item % panels);
                 let np = panel_len(p);
                 let v_re = &self.v_re[bin * self.v_slab..(bin + 1) * self.v_slab];
@@ -383,7 +379,7 @@ impl<T: Scalar> PreparedFft<T> {
         // L×L block of each circular plane lands at offset r−1.
         let blocks = {
             let _phase = Span::enter("exec.phase", "inverse");
-            run_chunked(is.n * tiles_y, threads, "inverse", |item| {
+            run_chunked(is.n * tiles_y, threads, |item| {
                 let (img, ty) = (item / tiles_y, item % tiles_y);
                 let rows_here = l.min(out_h - ty * l);
                 let row_base = (img * tiles_y + ty) * tiles_x;

@@ -69,16 +69,10 @@ impl ExecConfig {
 
 /// Runs `items.len()` independent jobs across `threads` scoped workers
 /// in deterministic contiguous chunks, returning results in item order.
-///
-/// `label` names the phase for observability: each *spawned* worker
-/// wraps its chunk in an `"exec.worker"` span (per-thread self-time for
-/// the profile tree). The inline single-thread path opens no span —
-/// its time already belongs to the caller's enclosing phase span, and
-/// a nested worker span would steal that span's self-time.
+/// The caller's enclosing phase span times the whole fan-out.
 pub(crate) fn run_chunked<T: Send, F: Fn(usize) -> T + Sync>(
     total: usize,
     threads: usize,
-    label: &'static str,
     job: F,
 ) -> Vec<T> {
     let threads = threads.clamp(1, total.max(1));
@@ -96,13 +90,7 @@ pub(crate) fn run_chunked<T: Send, F: Fn(usize) -> T + Sync>(
             if lo >= hi {
                 break;
             }
-            handles.push((
-                lo,
-                scope.spawn(move || {
-                    let _worker = Span::enter("exec.worker", label);
-                    (lo..hi).map(job).collect::<Vec<T>>()
-                }),
-            ));
+            handles.push((lo, scope.spawn(move || (lo..hi).map(job).collect::<Vec<T>>())));
         }
         for (lo, handle) in handles {
             for (offset, value) in
@@ -441,7 +429,6 @@ impl<T: Scalar> PreparedWinograd<T> {
         let n2 = params.mults_per_tile_2d();
         let mut v_bank = vec![T::zero(); n2 * ks.n * ks.c];
         {
-            let _prep = Span::enter("exec.prepare", "kernel-transform");
             // Per output kernel k, its C windows structure-of-arrays
             // (gs[a·r + b][c]), so V = G g Gᵀ runs across all channels at
             // once and lands contiguously in v_bank[e][k][..] — bitwise
@@ -466,12 +453,9 @@ impl<T: Scalar> PreparedWinograd<T> {
         }
         let v_slab = ks.n.div_ceil(MR).max(1) * ks.c * MR;
         let mut v_pack = Vec::with_capacity(n2 * v_slab);
-        {
-            let _prep = Span::enter("exec.prepare", "gemm-pack");
-            for e in 0..n2 {
-                let v_e = &v_bank[e * ks.n * ks.c..(e + 1) * ks.n * ks.c];
-                v_pack.extend_from_slice(&pack_a(ks.n, ks.c, v_e, ks.c));
-            }
+        for e in 0..n2 {
+            let v_e = &v_bank[e * ks.n * ks.c..(e + 1) * ks.n * ks.c];
+            v_pack.extend_from_slice(&pack_a(ks.n, ks.c, v_e, ks.c));
         }
         // Flatten the two-pass data transform U = Bᵀ d B into one
         // sparse pass per coordinate (most Bᵀ entries are zero), so the
@@ -566,14 +550,14 @@ impl<T: Scalar> PreparedWinograd<T> {
         // Phase 1: pack tile panels (one item per panel).
         let u_panels = {
             let _phase = Span::enter("exec.phase", "pack");
-            run_chunked(panels, threads, "pack", |p| ctx.pack_panel(p))
+            run_chunked(panels, threads, |p| ctx.pack_panel(p))
         };
         // Phase 2: coordinate-major GEMMs (one item per (e, panel),
         // e-major so a thread's contiguous chunk sweeps the panels of
         // one coordinate before moving on).
         let m_chunks = {
             let _phase = Span::enter("exec.phase", "multiply");
-            run_chunked(n2 * panels, threads, "multiply", |item| {
+            run_chunked(n2 * panels, threads, |item| {
                 let (e, p) = (item / panels, item % panels);
                 ctx.multiply(e, &u_panels[p], p)
             })
@@ -582,7 +566,7 @@ impl<T: Scalar> PreparedWinograd<T> {
         // Phase 3: inverse transforms (one item per (image, tile-row)),
         // including the scatter of finished rows into the output tensor.
         let _phase = Span::enter("exec.phase", "inverse");
-        let blocks = run_chunked(is.n * tiles_y, threads, "inverse", |item| {
+        let blocks = run_chunked(is.n * tiles_y, threads, |item| {
             ctx.inverse_item(item / tiles_y, item % tiles_y, &m_chunks)
         });
 

@@ -1,12 +1,33 @@
-//! A minimal JSON validity checker.
+//! Minimal JSON support: string escaping and a validity checker.
 //!
 //! `wino-obs` deliberately has no dependencies, yet it (and the bench
-//! binaries built on it) emit JSON artifacts — profiles, Chrome
-//! traces, flight-recorder dumps, the `BENCH_*.json` study artifacts —
-//! that tests must be able to gate on "this actually parses".
+//! binaries built on it) emit JSON artifacts — Chrome traces,
+//! flight-recorder dumps, the `BENCH_*.json` study artifacts — that
+//! tests must be able to gate on "this actually parses".
 //! [`validate_json`] is a recursive-descent checker over the JSON
 //! grammar (RFC 8259): it accepts or rejects, it does not build a
 //! document tree.
+
+use std::fmt::Write as _;
+
+/// Escapes a string for embedding inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Checks that `input` is one complete, well-formed JSON value.
 ///

@@ -10,17 +10,17 @@
 //!
 //! Two sinks consume the stream:
 //!
-//! * [`TraceIndex`] — a [`Recorder`] that reassembles events into
-//!   per-request timelines, verifies their causal shape
-//!   ([`TraceIndex::verify`]: exactly one terminal event per seq,
-//!   steals carry both shard ids, …) and exports sampled timelines as
-//!   Chrome trace JSON. It is fed through
-//!   the global [`record_req`](crate::record_req) hook, so it costs
-//!   one relaxed atomic load per event when tracing is off.
+//! * [`TraceIndex`] — a sink that reassembles events into per-request
+//!   timelines, verifies their causal shape ([`TraceIndex::verify`]:
+//!   exactly one terminal event per seq, steals carry both shard ids,
+//!   …) and exports sampled timelines as Chrome trace JSON.
 //! * [`FlightRecorder`] — the always-on black box: a bounded,
-//!   lock-light per-lane ring of the most recent events, explicitly
-//!   owned by the serving layer (one lane per shard) and dumped to a
+//!   lock-light per-lane ring of the most recent events, dumped to a
 //!   JSON artifact on fault, shed, or drain.
+//!
+//! Neither is a process global: the emitter holds the sinks it writes
+//! to (the serving layer's `ShardSet` owns one of each, the index
+//! optional), so two emitters in one process trace independently.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -30,8 +30,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::artifact::write_atomic;
-use crate::recorder::Recorder;
-use crate::span::SpanRecord;
+use crate::json::json_escape;
 
 /// What happened to a request at one instant of its life.
 ///
@@ -176,14 +175,13 @@ struct TraceState {
     sheds: u64,
 }
 
-/// A [`Recorder`] sink that indexes the request-event stream into
-/// per-request timelines.
+/// A sink that indexes the request-event stream into per-request
+/// timelines.
 ///
-/// Attach with [`set_recorder`](crate::set_recorder) +
-/// [`enable`](crate::enable); every [`record_req`](crate::record_req)
-/// call lands here in emission order, which for a single request is
-/// causal order (each request's events are ordered by the queue and
-/// execution locks they pass through). Span records are ignored.
+/// Events land through [`record_event`](Self::record_event) in
+/// emission order, which for a single request is causal order (each
+/// request's events are ordered by the queue and execution locks they
+/// pass through).
 #[derive(Default)]
 pub struct TraceIndex {
     state: Mutex<TraceState>,
@@ -195,7 +193,7 @@ impl TraceIndex {
         Self::default()
     }
 
-    /// Indexes one event directly (the [`Recorder`] path calls this).
+    /// Indexes one event.
     ///
     /// [`Shed`](ReqEventKind::Shed) events are tallied but not
     /// indexed: a shed request never received a seq id.
@@ -388,14 +386,6 @@ fn verify_timeline(seq: u64, events: &[ReqEvent], stats: &mut TraceStats) -> Res
     Ok(())
 }
 
-impl Recorder for TraceIndex {
-    fn record(&self, _span: &SpanRecord) {}
-
-    fn record_req(&self, event: &ReqEvent) {
-        self.record_event(event);
-    }
-}
-
 struct FlightLane {
     ring: VecDeque<ReqEvent>,
     dropped: u64,
@@ -406,8 +396,8 @@ struct FlightLane {
 ///
 /// Recording is a single short `Mutex` lock on the event's own lane —
 /// no global state, no allocation past the ring's initial capacity —
-/// so it stays on even when tracing is disabled. When a ring is full
-/// the oldest event is dropped and counted, keeping the newest N.
+/// so it can stay always on. When a ring is full the oldest event is
+/// dropped and counted, keeping the newest N.
 pub struct FlightRecorder {
     lanes: Vec<Mutex<FlightLane>>,
     capacity: usize,
@@ -463,7 +453,7 @@ impl FlightRecorder {
     pub fn dump_json(&self, cause: &str) -> String {
         let mut out = format!(
             "{{\n  \"cause\": \"{}\",\n  \"capacity_per_lane\": {},\n  \"lanes\": [\n",
-            crate::report::json_escape(cause),
+            json_escape(cause),
             self.capacity
         );
         for (i, lane) in self.lanes.iter().enumerate() {

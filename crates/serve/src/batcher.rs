@@ -38,7 +38,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
-use wino_obs::{ReqEvent, ReqEventKind};
 
 /// Request priority class. Classes are scheduling tiers, not strict
 /// preemption: a released batch fills from [`High`](Priority::High)
@@ -231,10 +230,6 @@ pub struct DynamicBatcher<T> {
     queues: Vec<[VecDeque<Pending<T>>; 3]>,
     seq: u64,
     seq_stride: u64,
-    /// Shard label stamped on request-trace events (the seq start of
-    /// [`with_seq`](Self::with_seq) — shard `i` strides from `i`, so
-    /// the two are the same number). Zero for a standalone batcher.
-    shard: u32,
 }
 
 impl<T> DynamicBatcher<T> {
@@ -265,7 +260,7 @@ impl<T> DynamicBatcher<T> {
         }
         let caps: Vec<usize> = caps.into_iter().map(|c| c.clamp(1, config.max_batch)).collect();
         let queues = caps.iter().map(|_| std::array::from_fn(|_| VecDeque::new())).collect();
-        DynamicBatcher { config, caps, queues, seq: 0, seq_stride: 1, shard: 0 }
+        DynamicBatcher { config, caps, queues, seq: 0, seq_stride: 1 }
     }
 
     /// Re-bases the submission sequence to `start, start + stride,
@@ -282,9 +277,6 @@ impl<T> DynamicBatcher<T> {
         assert!(stride > 0, "seq stride must be at least 1");
         self.seq = start;
         self.seq_stride = stride;
-        // A ShardSet builds shard i's batcher with start = i, so the
-        // start doubles as the shard label on trace events.
-        self.shard = start as u32;
         self
     }
 
@@ -351,20 +343,6 @@ impl<T> DynamicBatcher<T> {
             priority,
             payload,
         });
-        // The request-trace anchor: admission (capacity passed, seq
-        // assigned) immediately followed by the enqueue, both under
-        // whatever lock serializes this batcher — so a timeline's
-        // first two events are emitted atomically and in order.
-        wino_obs::record_req(&ReqEvent::new(
-            seq,
-            now,
-            ReqEventKind::Admitted { class: priority.as_str() },
-        ));
-        wino_obs::record_req(&ReqEvent::new(
-            seq,
-            now,
-            ReqEventKind::Enqueued { shard: self.shard },
-        ));
         Ok(seq)
     }
 

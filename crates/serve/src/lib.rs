@@ -22,7 +22,9 @@
 //! * [`ShardSet`] — per-shard batcher queues behind home routing
 //!   (`model % shards`) with optional work stealing of whole released
 //!   batches, so idle shards soak up another shard's backlog without
-//!   disturbing per-class FIFO order;
+//!   disturbing per-class FIFO order; it is also the one emitter of
+//!   the request-event stream, into its attached flight recorder and
+//!   (optionally) a `wino_obs::TraceIndex`;
 //! * [`Server`] — admission control (bounded queues, optional
 //!   SLO-based shedding) in front of per-shard `std::thread` worker
 //!   groups that execute released batches through the cached banks —
@@ -34,10 +36,7 @@
 //! * [`Metrics`] — per-model and per-shard throughput and
 //!   p50/p95/p99/p99.9 latency from constant-space log histograms,
 //!   plus server-wide per-priority-class queue-wait and latency
-//!   distributions, exportable as `wino_obs` metric families for
-//!   Prometheus/JSON exposition (and, with tracing enabled, a
-//!   per-request lifecycle trace: admitted → queued → batch-wait →
-//!   exec → completed intervals keyed by request id);
+//!   distributions;
 //! * [`SloEngine`] — declarative [`SloPolicy`] latency objectives
 //!   (per-class or pooled) evaluated as multi-window error-budget
 //!   burn rates over successive metrics snapshots, firing

@@ -13,14 +13,12 @@
 //! contention stays negligible next to the convolution work. Besides
 //! per-model counters the recorder keeps server-wide per-priority-class
 //! queue-wait histograms, so the batcher's anti-starvation behaviour is
-//! measurable per class; [`MetricsSnapshot::to_metric_families`]
-//! exports everything for `wino_obs`' Prometheus/JSON exposition.
+//! measurable per class.
 
 use crate::Priority;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
-use wino_obs::{MetricFamily, MetricKind, MetricSample};
 
 /// Number of power-of-two microsecond buckets: covers up to
 /// 2^39 µs ≈ 6.4 days, far beyond any sane request latency.
@@ -303,141 +301,6 @@ impl MetricsSnapshot {
             return 0.0;
         }
         self.total_completed() as f64 / secs
-    }
-
-    /// Exports the snapshot as [`wino_obs`] metric families, ready for
-    /// Prometheus text or JSON exposition through
-    /// [`wino_obs::ObsReport`].
-    pub fn to_metric_families(&self) -> Vec<MetricFamily> {
-        let model_label = |m: &ModelSnapshot| vec![("model".to_owned(), m.model.clone())];
-        let per_model =
-            |name: &str, help: &str, kind, value: &dyn Fn(&ModelSnapshot) -> f64| MetricFamily {
-                name: name.to_owned(),
-                help: help.to_owned(),
-                kind,
-                samples: self
-                    .per_model
-                    .iter()
-                    .map(|m| MetricSample { labels: model_label(m), value: value(m) })
-                    .collect(),
-            };
-        let mut families = vec![
-            MetricFamily::scalar(
-                "wino_serve_uptime_seconds",
-                "Wall time the snapshot covers.",
-                MetricKind::Gauge,
-                self.elapsed.as_secs_f64(),
-            ),
-            per_model(
-                "wino_serve_completed_total",
-                "Requests completed (responses delivered).",
-                MetricKind::Counter,
-                &|m| m.completed as f64,
-            ),
-            per_model(
-                "wino_serve_rejected_total",
-                "Requests refused at admission.",
-                MetricKind::Counter,
-                &|m| m.rejected as f64,
-            ),
-            per_model("wino_serve_batches_total", "Batches executed.", MetricKind::Counter, &|m| {
-                m.batches as f64
-            }),
-            per_model(
-                "wino_serve_mean_batch_images",
-                "Mean images per executed batch.",
-                MetricKind::Gauge,
-                &|m| m.mean_batch,
-            ),
-        ];
-        families.push(per_model(
-            "wino_serve_failed_total",
-            "Requests explicitly failed by the fault path.",
-            MetricKind::Counter,
-            &|m| m.failed as f64,
-        ));
-        type Pick = fn(&ModelSnapshot) -> Duration;
-        let quantiles: [(&str, Pick); 4] =
-            [("p50", |m| m.p50), ("p95", |m| m.p95), ("p99", |m| m.p99), ("p999", |m| m.p999)];
-        for (suffix, pick) in quantiles {
-            families.push(per_model(
-                &format!("wino_serve_latency_{suffix}_seconds"),
-                &format!("{suffix} end-to-end latency (log2-bucket midpoint)."),
-                MetricKind::Gauge,
-                &move |m| pick(m).as_secs_f64(),
-            ));
-        }
-        let shard_label = |s: &ShardSnapshot| vec![("shard".to_owned(), s.shard.to_string())];
-        let per_shard =
-            |name: &str, help: &str, kind, value: &dyn Fn(&ShardSnapshot) -> f64| MetricFamily {
-                name: name.to_owned(),
-                help: help.to_owned(),
-                kind,
-                samples: self
-                    .per_shard
-                    .iter()
-                    .map(|s| MetricSample { labels: shard_label(s), value: value(s) })
-                    .collect(),
-            };
-        families.push(per_shard(
-            "wino_serve_shard_batches_total",
-            "Batches executed by each shard's worker group.",
-            MetricKind::Counter,
-            &|s| s.batches as f64,
-        ));
-        families.push(per_shard(
-            "wino_serve_shard_stolen_total",
-            "Batches stolen from another shard's queue.",
-            MetricKind::Counter,
-            &|s| s.stolen as f64,
-        ));
-        families.push(per_shard(
-            "wino_serve_shard_latency_p999_seconds",
-            "99.9th-percentile end-to-end latency served per shard.",
-            MetricKind::Gauge,
-            &|s| s.p999.as_secs_f64(),
-        ));
-        families.push(MetricFamily {
-            name: "wino_serve_class_latency_p999_seconds".to_owned(),
-            help: "99.9th-percentile end-to-end latency per priority class.".to_owned(),
-            kind: MetricKind::Gauge,
-            samples: self
-                .latency_by_class
-                .iter()
-                .map(|c| MetricSample {
-                    labels: vec![("class".to_owned(), c.priority.to_string())],
-                    value: c.p999.as_secs_f64(),
-                })
-                .collect(),
-        });
-        families.push(MetricFamily {
-            name: "wino_serve_queue_wait_p95_seconds".to_owned(),
-            help: "95th-percentile queue wait per priority class (log2-bucket midpoint)."
-                .to_owned(),
-            kind: MetricKind::Gauge,
-            samples: self
-                .queue_wait_by_class
-                .iter()
-                .map(|c| MetricSample {
-                    labels: vec![("class".to_owned(), c.priority.to_string())],
-                    value: c.p95.as_secs_f64(),
-                })
-                .collect(),
-        });
-        families.push(MetricFamily {
-            name: "wino_serve_class_completed_total".to_owned(),
-            help: "Requests completed per priority class.".to_owned(),
-            kind: MetricKind::Counter,
-            samples: self
-                .queue_wait_by_class
-                .iter()
-                .map(|c| MetricSample {
-                    labels: vec![("class".to_owned(), c.priority.to_string())],
-                    value: c.completed as f64,
-                })
-                .collect(),
-        });
-        families
     }
 }
 
@@ -816,24 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_exports_metric_families() {
-        let m = Metrics::new(vec!["a".into()], 1);
-        m.record_batch(0, 0, false, ms(4), &[Priority::High], &[ms(1)], &[ms(4)]);
-        m.record_rejected(0);
-        let snap = m.snapshot(ms(2000));
-        let report = wino_obs::ObsReport { metrics: snap.to_metric_families(), profile: None };
-        let text = report.to_prometheus();
-        assert!(text.contains("wino_serve_completed_total{model=\"a\"} 1"), "{text}");
-        assert!(text.contains("wino_serve_rejected_total{model=\"a\"} 1"), "{text}");
-        assert!(text.contains("wino_serve_uptime_seconds 2"), "{text}");
-        assert!(text.contains("wino_serve_queue_wait_p95_seconds{class=\"high\"}"), "{text}");
-        assert!(text.contains("wino_serve_class_completed_total{class=\"low\"} 0"), "{text}");
-        assert!(text.contains("# TYPE wino_serve_latency_p99_seconds gauge"), "{text}");
-        let json = report.to_json();
-        assert!(json.contains("\"wino_serve_latency_p50_seconds\""), "{json}");
-    }
-
-    #[test]
     fn count_over_is_a_conservative_bucket_edge_count() {
         let mut h = LatencyHistogram::new();
         h.record(Duration::from_micros(500)); // bucket [256, 512) µs
@@ -850,76 +695,6 @@ mod tests {
         assert_eq!(h.count_over(Duration::ZERO), 4, "every ≥1 µs sample is over zero");
         assert_eq!(h.count_over(Duration::from_secs(86400 * 30)), 0);
         assert_eq!(LatencyHistogram::new().count_over(ms(1)), 0);
-    }
-
-    /// Pins the complete exposition surface: every metric family name
-    /// and its label key, in both Prometheus text and JSON. Renaming or
-    /// dropping a family breaks dashboards silently — this test makes
-    /// it loud.
-    #[test]
-    fn exposition_pins_every_family_name_and_label() {
-        let m = Metrics::new(vec!["a".into()], 2);
-        m.record_batch(0, 0, false, ms(4), &[Priority::High], &[ms(1)], &[ms(4)]);
-        m.record_batch(0, 1, true, ms(4), &[Priority::Low], &[ms(2)], &[ms(9)]);
-        m.record_rejected(0);
-        m.record_failed(0, 1, 1);
-        let snap = m.snapshot(ms(3000));
-        let families = snap.to_metric_families();
-        let expected = [
-            ("wino_serve_uptime_seconds", None),
-            ("wino_serve_completed_total", Some("model")),
-            ("wino_serve_rejected_total", Some("model")),
-            ("wino_serve_batches_total", Some("model")),
-            ("wino_serve_mean_batch_images", Some("model")),
-            ("wino_serve_failed_total", Some("model")),
-            ("wino_serve_latency_p50_seconds", Some("model")),
-            ("wino_serve_latency_p95_seconds", Some("model")),
-            ("wino_serve_latency_p99_seconds", Some("model")),
-            ("wino_serve_latency_p999_seconds", Some("model")),
-            ("wino_serve_shard_batches_total", Some("shard")),
-            ("wino_serve_shard_stolen_total", Some("shard")),
-            ("wino_serve_shard_latency_p999_seconds", Some("shard")),
-            ("wino_serve_class_latency_p999_seconds", Some("class")),
-            ("wino_serve_queue_wait_p95_seconds", Some("class")),
-            ("wino_serve_class_completed_total", Some("class")),
-        ];
-        assert_eq!(
-            families.len(),
-            expected.len(),
-            "family set changed: {:?}",
-            families.iter().map(|f| f.name.clone()).collect::<Vec<_>>()
-        );
-        for (i, (name, label)) in expected.iter().enumerate() {
-            assert_eq!(families[i].name, *name, "family {i} renamed");
-            for sample in &families[i].samples {
-                match label {
-                    Some(key) => assert!(
-                        sample.labels.iter().any(|(k, _)| k == key),
-                        "family '{name}' lost its '{key}' label: {:?}",
-                        sample.labels
-                    ),
-                    None => assert!(sample.labels.is_empty(), "family '{name}' grew labels"),
-                }
-            }
-        }
-        // Both exposition formats carry every family by name.
-        let report = wino_obs::ObsReport { metrics: families, profile: None };
-        let text = report.to_prometheus();
-        let json = report.to_json();
-        wino_obs::validate_json(&json).expect("JSON exposition parses");
-        for (name, _) in expected {
-            assert!(text.contains(name), "Prometheus text lost '{name}':\n{text}");
-            assert!(json.contains(&format!("\"{name}\"")), "JSON lost '{name}'");
-        }
-        // Label values survive exposition: shard indices and class
-        // names appear verbatim.
-        assert!(text.contains("wino_serve_shard_stolen_total{shard=\"1\"} 1"), "{text}");
-        for class in ["high", "normal", "low"] {
-            assert!(
-                text.contains(&format!("wino_serve_class_completed_total{{class=\"{class}\"}}")),
-                "{text}"
-            );
-        }
     }
 
     #[test]
@@ -956,14 +731,6 @@ mod tests {
         let low = &snap.latency_by_class[Priority::Low.index()];
         assert_eq!(low.completed, 1);
         assert!(low.p999 >= low.p50 && low.p999 >= ms(8));
-        // Exposition carries the shard-labelled families and p99.9s.
-        let report = wino_obs::ObsReport { metrics: snap.to_metric_families(), profile: None };
-        let text = report.to_prometheus();
-        assert!(text.contains("wino_serve_shard_batches_total{shard=\"0\"} 2"), "{text}");
-        assert!(text.contains("wino_serve_shard_stolen_total{shard=\"2\"} 1"), "{text}");
-        assert!(text.contains("wino_serve_failed_total{model=\"a\"} 2"), "{text}");
-        assert!(text.contains("wino_serve_shard_latency_p999_seconds{shard=\"2\"}"), "{text}");
-        assert!(text.contains("wino_serve_class_latency_p999_seconds{class=\"low\"}"), "{text}");
         // The human-readable dump mentions shard lines too.
         let display = snap.to_string();
         assert!(display.contains("shard 2"), "{display}");

@@ -285,9 +285,9 @@ struct Inner {
     shards: ShardSet<Ticket>,
     metrics: Metrics,
     shutdown: AtomicBool,
-    /// The always-on black box (one event ring per shard), shared with
-    /// the [`ShardSet`] so dispatch events land without the server's
-    /// help.
+    /// The always-on black box (one event ring per shard), attached to
+    /// the [`ShardSet`], which emits every request event into it; the
+    /// server keeps a handle to dump it.
     flight: Arc<FlightRecorder>,
     flight_dump_dir: Option<PathBuf>,
     /// Debounces the first-shed black-box dump: overload sheds
@@ -318,10 +318,7 @@ impl Inner {
                 // shard's lock, so the lock-order chain guarantees no
                 // admitted ticket is left behind.
                 match self.shards.drain_one(self.clock.now()) {
-                    Some(batch) => {
-                        let released = self.clock.now();
-                        self.execute(shard, batch, false, released);
-                    }
+                    Some(batch) => self.execute(shard, batch, false),
                     None => return,
                 }
                 continue;
@@ -331,22 +328,15 @@ impl Inner {
             // advance is noticed promptly even without a matching
             // notify.
             match self.shards.poll_or_park(shard, now, Duration::from_millis(50)) {
-                ShardPoll::Ready { batch, from } => {
-                    // Stamp the moment the batcher released the batch:
-                    // the boundary between queue wait (admission →
-                    // release) and batch wait (release → execution).
-                    let released = self.clock.now();
-                    self.execute(shard, batch, from != shard, released);
-                }
+                ShardPoll::Ready { batch, from } => self.execute(shard, batch, from != shard),
                 ShardPoll::Wait(_) => {} // parked; loop with fresh now
             }
         }
     }
 
     /// Executes one released batch on `shard`'s worker group and
-    /// resolves every lane's response. `released` is the clock reading
-    /// at which the batch left its queue.
-    fn execute(&self, shard: usize, batch: Batch<Ticket>, stolen: bool, released: Duration) {
+    /// resolves every lane's response.
+    fn execute(&self, shard: usize, batch: Batch<Ticket>, stolen: bool) {
         let Batch { model, requests } = batch;
         let entry = self.registries[shard].entry(model);
         let poison = self.inject_panic_seed;
@@ -360,16 +350,14 @@ impl Inner {
         }));
         let finished = self.clock.now();
         match outcome {
-            Ok(outputs) => {
-                self.respond(shard, stolen, model, requests, outputs, released, started, finished)
-            }
+            Ok(outputs) => self.respond(shard, stolen, model, requests, outputs, started, finished),
             Err(payload) => {
                 let reason = payload
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_owned())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "worker panicked".to_owned());
-                self.retry_solo(shard, stolen, model, requests, &reason, released);
+                self.retry_solo(shard, stolen, model, requests, &reason);
             }
         }
     }
@@ -387,15 +375,12 @@ impl Inner {
         model: usize,
         requests: Vec<BatchItem<Ticket>>,
         reason: &str,
-        released: Duration,
     ) {
         let entry = self.registries[shard].entry(model);
         for request in requests {
             let seed = request.payload.seed;
             let started = self.clock.now();
-            let retry_event = ReqEvent::new(request.seq, started, ReqEventKind::PanicRetry);
-            wino_obs::record_req(&retry_event);
-            self.flight.record(shard, retry_event);
+            self.shards.emit(shard, ReqEvent::new(request.seq, started, ReqEventKind::PanicRetry));
             let retry = catch_unwind(AssertUnwindSafe(|| {
                 if self.inject_panic_seed == Some(seed) {
                     panic!("injected worker fault (solo retry)");
@@ -410,15 +395,13 @@ impl Inner {
                     model,
                     vec![request],
                     vec![output],
-                    released,
                     started,
                     finished,
                 ),
                 Err(_) => {
                     self.metrics.record_failed(model, shard, 1);
-                    let failed = ReqEvent::new(request.seq, finished, ReqEventKind::Failed);
-                    wino_obs::record_req(&failed);
-                    self.flight.record(shard, failed);
+                    self.shards
+                        .emit(shard, ReqEvent::new(request.seq, finished, ReqEventKind::Failed));
                     request.payload.slot.fulfill(Err(RequestError {
                         model: entry.id().clone(),
                         seed,
@@ -442,7 +425,6 @@ impl Inner {
         model: usize,
         requests: Vec<BatchItem<Ticket>>,
         outputs: Vec<InferOutput>,
-        released: Duration,
         started: Duration,
         finished: Duration,
     ) {
@@ -462,53 +444,9 @@ impl Inner {
             &latencies,
         );
 
-        // Request-lifecycle trace: one interval per stage per request,
-        // keyed by the request's batcher sequence number, labelled with
-        // its priority class — queue wait vs batch wait vs exec time
-        // become separately attributable per class in a Chrome trace.
-        // The `is_enabled` guard keeps the disabled path at one relaxed
-        // load for the whole batch.
-        if wino_obs::is_enabled() {
-            for request in &requests {
-                let queued_label = format!("queued:{}", request.priority);
-                wino_obs::record_interval(
-                    "serve.request",
-                    &queued_label,
-                    request.seq,
-                    request.enqueued_at,
-                    released.saturating_sub(request.enqueued_at),
-                );
-                let batch_label = format!("batch-wait:{}", request.priority);
-                wino_obs::record_interval(
-                    "serve.request",
-                    &batch_label,
-                    request.seq,
-                    released,
-                    started.saturating_sub(released),
-                );
-                let exec_label = format!("exec:{}@shard{shard}", entry.id());
-                wino_obs::record_interval(
-                    "serve.request",
-                    &exec_label,
-                    request.seq,
-                    started,
-                    finished.saturating_sub(started),
-                );
-                wino_obs::record_interval(
-                    "serve.request",
-                    "completed",
-                    request.seq,
-                    finished,
-                    Duration::ZERO,
-                );
-            }
-        }
-
         let size = requests.len();
         for request in &requests {
-            let resolved = ReqEvent::new(request.seq, finished, ReqEventKind::Resolved);
-            wino_obs::record_req(&resolved);
-            self.flight.record(shard, resolved);
+            self.shards.emit(shard, ReqEvent::new(request.seq, finished, ReqEventKind::Resolved));
         }
         for ((request, output), (&wait, &latency)) in
             requests.into_iter().zip(outputs).zip(waits.iter().zip(&latencies))
@@ -649,6 +587,7 @@ impl Server {
         let slot = Arc::new(ResponseSlot::default());
         let ticket = Ticket { seed, slot: Arc::clone(&slot) };
         let now = inner.clock.now();
+        let home = inner.shards.home(index);
         // Admission decisions happen *under the home shard's lock*:
         // the workers' exit decision (shutdown && every shard drained)
         // acquires this same lock, so nothing can be admitted after
@@ -673,35 +612,17 @@ impl Server {
                 }
             }
             match queue.submit(index, priority, ticket, now) {
-                Ok(seq) => Ok(seq),
+                Ok(seq) => {
+                    inner.shards.emit_admitted(home, seq, priority, now);
+                    Ok(())
+                }
                 Err(SubmitError::QueueFull { capacity, .. }) => {
                     Err(AdmissionError::QueueFull { model: model.clone(), capacity })
                 }
             }
         });
         match decision {
-            Ok(seq) => {
-                // Admission event: anchors the request's lifecycle
-                // trace (same id as the queued/batch-wait/exec/
-                // completed intervals the worker emits).
-                if wino_obs::is_enabled() {
-                    let label = format!("admitted:{priority}");
-                    wino_obs::record_interval("serve.request", &label, seq, now, Duration::ZERO);
-                }
-                // Mirror the admission into the black box. The batcher
-                // already emitted Admitted/Enqueued to the request
-                // trace under the shard lock; the flight ring is the
-                // server's own always-on copy.
-                let home = inner.shards.home(index);
-                let home_u32 = home as u32;
-                inner.flight.record(
-                    home,
-                    ReqEvent::new(seq, now, ReqEventKind::Admitted { class: priority.as_str() }),
-                );
-                inner.flight.record(
-                    home,
-                    ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home_u32 }),
-                );
+            Ok(()) => {
                 inner.shards.notify(home);
                 Ok(ResponseHandle { slot })
             }
@@ -713,9 +634,7 @@ impl Server {
                     inner.metrics.record_rejected(index);
                     // Sheds carry no seq (the request never got one):
                     // seq 0 is the trace convention for refused work.
-                    let shed = ReqEvent::new(0, now, ReqEventKind::Shed);
-                    wino_obs::record_req(&shed);
-                    inner.flight.record(inner.shards.home(index), shed);
+                    inner.shards.emit(home, ReqEvent::new(0, now, ReqEventKind::Shed));
                     if !inner.shed_dumped.swap(true, Ordering::AcqRel) {
                         // First shed only: overload sheds thousands and
                         // one black-box artifact is enough.

@@ -28,11 +28,16 @@
 //! [`VirtualClock`](crate::VirtualClock)), or concurrently through
 //! [`poll_or_park`](ShardSet::poll_or_park) (how
 //! [`Server`](crate::Server) worker groups wait for work).
+//!
+//! The set is also the one emitter of the request-event stream:
+//! [`emit`](ShardSet::emit) writes each [`ReqEvent`] into the sinks
+//! the set owns — a [`FlightRecorder`] and, optionally, a
+//! [`TraceIndex`] — so two sets in one process trace independently.
 
 use crate::{Batch, BatchConfig, DynamicBatcher, Poll, Priority, SubmitError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind};
+use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind, TraceIndex};
 
 /// Outcome of polling a shard, distinguishing where the batch came
 /// from so metrics can count steals.
@@ -66,10 +71,12 @@ pub struct ShardSet<T> {
     shards: Vec<Shard<T>>,
     steal: bool,
     /// The always-on black box, when the owner attached one
-    /// ([`with_flight`](Self::with_flight)): every dispatch event is
-    /// mirrored into the event ring of the lane it happened on,
-    /// independently of whether global tracing is enabled.
+    /// ([`with_flight`](Self::with_flight)): every emitted event lands
+    /// in the ring of the lane it happened on.
     flight: Option<Arc<FlightRecorder>>,
+    /// The request-timeline index, when the owner attached one
+    /// ([`with_trace`](Self::with_trace)).
+    trace: Option<Arc<TraceIndex>>,
 }
 
 impl<T> ShardSet<T> {
@@ -94,20 +101,48 @@ impl<T> ShardSet<T> {
                 wake: Condvar::new(),
             })
             .collect();
-        ShardSet { shards, steal, flight: None }
+        ShardSet { shards, steal, flight: None, trace: None }
     }
 
-    /// Attaches a [`FlightRecorder`] black box: dispatch events
-    /// (enqueues, batch releases, steals) are mirrored into its rings,
-    /// one lane per shard, regardless of the global tracing switch.
+    /// Attaches a [`FlightRecorder`] black box: every event this set
+    /// [`emit`](Self::emit)s is recorded into its rings, one lane per
+    /// shard.
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
         self
     }
 
-    /// The attached black box, if any.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
+    /// Attaches a [`TraceIndex`]: every event this set
+    /// [`emit`](Self::emit)s is indexed into per-request timelines.
+    pub fn with_trace(mut self, trace: Arc<TraceIndex>) -> Self {
+        self.trace = Some(trace);
+        self
+    }
+
+    /// Writes one request event to every attached sink: `lane`'s ring
+    /// of the flight recorder and the trace index. The set emits
+    /// admission and dispatch events itself; the owner emits the rest
+    /// of a request's life (shed, panic-retry, resolved, failed)
+    /// through here.
+    pub fn emit(&self, lane: usize, event: ReqEvent) {
+        if let Some(flight) = &self.flight {
+            flight.record(lane, event);
+        }
+        if let Some(trace) = &self.trace {
+            trace.record_event(&event);
+        }
+    }
+
+    /// Emits the first two events of an admitted request's timeline,
+    /// `Admitted` then `Enqueued` on its home shard. Callers hold the
+    /// home-shard lock, so no dispatch event of the request can be
+    /// emitted before them.
+    pub(crate) fn emit_admitted(&self, home: usize, seq: u64, priority: Priority, now: Duration) {
+        self.emit(
+            home,
+            ReqEvent::new(seq, now, ReqEventKind::Admitted { class: priority.as_str() }),
+        );
+        self.emit(home, ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home as u32 }));
     }
 
     /// Number of shards.
@@ -154,25 +189,17 @@ impl<T> ShardSet<T> {
         now: Duration,
     ) -> Result<u64, SubmitError> {
         let home = self.home(model);
-        let seq = self.lock(home).submit(model, priority, payload, now)?;
-        if let Some(flight) = &self.flight {
-            flight.record(
-                home,
-                ReqEvent::new(seq, now, ReqEventKind::Admitted { class: priority.as_str() }),
-            );
-            flight.record(
-                home,
-                ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home as u32 }),
-            );
-        }
+        let mut queue = self.lock(home);
+        let seq = queue.submit(model, priority, payload, now)?;
+        self.emit_admitted(home, seq, priority, now);
+        drop(queue);
         self.shards[home].wake.notify_one();
         Ok(seq)
     }
 
     /// Emits the dispatch events of one released batch — `Batched` on
     /// the releasing shard, plus `Stolen` when the polling shard is a
-    /// different one — to both the global request trace and the
-    /// attached black box.
+    /// different one.
     fn trace_dispatch(&self, batch: &Batch<T>, from: usize, polled: usize, now: Duration) {
         let lanes = batch.requests.len() as u32;
         for item in &batch.requests {
@@ -181,22 +208,19 @@ impl<T> ShardSet<T> {
             // lane was enqueued. Dispatch cannot causally precede
             // admission: stamp each lane at the later of the two.
             let at = now.max(item.enqueued_at);
-            let batched =
-                ReqEvent::new(item.seq, at, ReqEventKind::Batched { shard: from as u32, lanes });
-            wino_obs::record_req(&batched);
-            if let Some(flight) = &self.flight {
-                flight.record(from, batched);
-            }
+            self.emit(
+                from,
+                ReqEvent::new(item.seq, at, ReqEventKind::Batched { shard: from as u32, lanes }),
+            );
             if polled != from {
-                let stolen = ReqEvent::new(
-                    item.seq,
-                    at,
-                    ReqEventKind::Stolen { from: from as u32, to: polled as u32 },
+                self.emit(
+                    polled,
+                    ReqEvent::new(
+                        item.seq,
+                        at,
+                        ReqEventKind::Stolen { from: from as u32, to: polled as u32 },
+                    ),
                 );
-                wino_obs::record_req(&stolen);
-                if let Some(flight) = &self.flight {
-                    flight.record(polled, stolen);
-                }
             }
         }
     }
@@ -414,6 +438,55 @@ mod tests {
         }
         assert_eq!(drained, 4);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn two_sets_on_one_thread_trace_independently() {
+        // Same shape, same seq space: a process-wide trace would merge
+        // the two sets' colliding seqs into broken timelines.
+        let sinks = || (Arc::new(FlightRecorder::new(3, 1024)), Arc::new(TraceIndex::new()));
+        let ((flight_a, trace_a), (flight_b, trace_b)) = (sinks(), sinks());
+        let a = set(true).with_flight(Arc::clone(&flight_a)).with_trace(Arc::clone(&trace_a));
+        let b = set(true).with_flight(Arc::clone(&flight_b)).with_trace(Arc::clone(&trace_b));
+        let resolve = |s: &ShardSet<u64>, lane: usize, batch: &Batch<u64>, now: Duration| {
+            for item in &batch.requests {
+                s.emit(lane, ReqEvent::new(item.seq, now, ReqEventKind::Resolved));
+            }
+        };
+        let (mut sent_a, mut sent_b) = (0, 0);
+        for step in 0..40u64 {
+            let now = at(step);
+            let model = (step % 4) as usize;
+            sent_a += usize::from(a.submit(model, Priority::High, step, now).is_ok());
+            if step % 2 == 0 {
+                sent_b += usize::from(b.submit(model, Priority::Low, step, now).is_ok());
+            }
+            for (s, shard) in [(&a, step as usize % 3), (&b, (step as usize + 1) % 3)] {
+                if let ShardPoll::Ready { batch, .. } = s.poll_at(shard, now) {
+                    resolve(s, shard, &batch, now);
+                }
+            }
+        }
+        b.emit(b.home(0), ReqEvent::new(0, at(40), ReqEventKind::Shed));
+        for s in [&a, &b] {
+            while let Some(batch) = s.drain_one(at(99)) {
+                resolve(s, s.home(batch.model), &batch, at(99));
+            }
+        }
+        assert_eq!((sent_a, sent_b), (40, 20));
+
+        let stats_a = trace_a.verify().expect("set a's timelines are causal");
+        let stats_b = trace_b.verify().expect("set b's timelines are causal");
+        assert!(stats_a.steals > 0 && stats_b.steals > 0, "{stats_a:?} {stats_b:?}");
+        assert_eq!((stats_a.requests, stats_a.resolved, stats_a.sheds), (sent_a, sent_a, 0));
+        assert_eq!((stats_b.requests, stats_b.resolved, stats_b.sheds), (sent_b, sent_b, 1));
+        // Each black box holds exactly its own set's events…
+        assert_eq!(flight_a.len(), stats_a.events);
+        assert_eq!(flight_b.len(), stats_b.events + 1);
+        // …and none of the other's: a submitted only high, b only low.
+        let (dump_a, dump_b) = (flight_a.dump_json("a"), flight_b.dump_json("b"));
+        assert!(dump_a.contains("\"class\": \"high\"") && !dump_a.contains("\"low\""));
+        assert!(dump_b.contains("\"class\": \"low\"") && !dump_b.contains("\"high\""));
     }
 
     #[test]

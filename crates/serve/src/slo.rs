@@ -17,9 +17,7 @@
 //! compute per-window violation fractions, and returns the alerts that
 //! **fired** on this observation (rising edges only — an alert stays
 //! active until its burn rate drops back under the threshold, and does
-//! not re-fire while active). Each firing is also reported through the
-//! observability layer as a `serve.slo` interval, so alerts land in
-//! Chrome traces next to the request timelines that caused them.
+//! not re-fire while active).
 //!
 //! Counting violations through log₂ histogram buckets is conservative:
 //! the effective objective is rounded up to the next bucket edge (see
@@ -219,15 +217,6 @@ impl SloEngine {
                         threshold: window.threshold,
                         objective: policy.objective,
                     };
-                    // Mirror the firing into the trace stream so it
-                    // shows up next to the request timelines.
-                    wino_obs::record_interval(
-                        "serve.slo",
-                        &format!("{}:{}-burn", policy.name, window.label),
-                        0,
-                        now,
-                        Duration::ZERO,
-                    );
                     alerts.push(alert);
                 }
             }

@@ -21,9 +21,9 @@
 //! dynamic batcher, SLO-aware admission, sharded worker groups with
 //! work stealing of released batches, per-shard latency metrics)
 //! that puts a request path in front of the execution engine, and
-//! `wino-obs`, a dependency-free, zero-cost-when-disabled
-//! observability layer (tracing spans, phase-level profiling,
-//! Prometheus/JSON metrics exposition) threaded through both. See
+//! `wino-obs`, a dependency-free observability layer (per-thread
+//! phase spans, request-event traces, the flight recorder) threaded
+//! through both. See
 //! `DESIGN.md` at the repository root for the system inventory,
 //! `docs/ARCHITECTURE.md` for the crate map, and `EXPERIMENTS.md`
 //! for the command reproducing every paper artifact.
@@ -80,7 +80,7 @@
 //! | [`engine`] | `wino-engine` | cycle-level engine simulator |
 //! | [`dse`] | `wino-dse` | exploration, figures, tables |
 //! | [`search`] | `wino-search` | strategy engine, heterogeneous spaces, Pareto archive |
-//! | [`obs`] | `wino-obs` | tracing spans, phase profiling, metrics exposition |
+//! | [`obs`] | `wino-obs` | phase spans, request traces, flight recorder |
 //! | [`exec`] | `wino-exec` | batched thread-parallel execution engine, schedules |
 //! | [`serve`] | `wino-serve` | multi-tenant batched inference serving |
 
@@ -123,10 +123,7 @@ pub mod prelude {
         EngineResources, FpgaDevice, PowerModel, ResourceUsage,
     };
     pub use wino_models::{alexnet, model_zoo, resnet18, shrink, tiny_cnn, vgg16d};
-    pub use wino_obs::{
-        AggregatingProfiler, MetricFamily, MetricKind, MetricSample, ObsReport, ProfileSnapshot,
-        Recorder, Span, SpanRecord, TraceRecorder,
-    };
+    pub use wino_obs::{Span, SpanRecord};
     pub use wino_search::{
         compare_strategies, AlgorithmChoice, EvalCache, Evaluation, Exhaustive, Genetic, Genome,
         Greedy, HeterogeneousSpace, HomogeneousSpace, LayerDesign, ParetoArchive, SearchObjective,
