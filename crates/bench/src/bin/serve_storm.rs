@@ -46,19 +46,20 @@
 //!    zero wall-clock flakiness. Results land in `BENCH_serve.json`
 //!    as the `"slo"` section.
 //!
-//! `--virtual-only` skips the wall-clock storm (used by CI, where
-//! wall-clock latency figures would be noise anyway).
+//! `--virtual-only` skips the wall-clock storm, whose latency figures
+//! are noise on shared machines; CI runs it once that way, to check the
+//! committed artifacts, and once in full, for the wall-clock storm's
+//! zero-lost and bitwise gates.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
-use std::iter::Peekable;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wino_obs::{validate_json, write_atomic, FlightRecorder, ReqEvent, ReqEventKind, TraceIndex};
+use wino_obs::{validate_json, write_atomic, FlightRecorder, TraceIndex};
 use wino_serve::{
-    BatchConfig, LatencyHistogram, Metrics, ModelRegistry, Priority, ServeConfig, Server,
+    BatchConfig, LatencyHistogram, MetricsSnapshot, ModelRegistry, Priority, ServeConfig, Server,
     ShardPoll, ShardSet, SloAlert, SloEngine, SloPolicy,
 };
 use wino_tensor::SplitMix64;
@@ -139,42 +140,40 @@ struct Sample {
     seeds: Vec<u64>,
 }
 
-#[derive(Default)]
-struct ShardStats {
-    batches: u64,
-    stolen: u64,
-    latency: LatencyHistogram,
-}
-
+/// One simulated run: what the driver counted from `submit`'s return
+/// values and its own event times, plus everything the shard set
+/// booked.
 struct SimOutcome {
     admitted: u64,
     rejected: u64,
-    served: u64,
-    batches: u64,
-    stolen: u64,
     makespan: Duration,
-    all: LatencyHistogram,
-    classes: [LatencyHistogram; 3],
-    class_counts: [u64; 3],
-    shards: Vec<ShardStats>,
     samples: Vec<Sample>,
+    booked: MetricsSnapshot,
+}
+
+/// The all-class latency distribution of a snapshot: its class
+/// histograms pooled.
+fn pooled(snap: &MetricsSnapshot) -> LatencyHistogram {
+    let mut all = LatencyHistogram::new();
+    for class in &snap.class_latency_histograms {
+        all.merge(class);
+    }
+    all
 }
 
 struct SimConfig {
     shards: usize,
     workers_per_shard: usize,
     steal: bool,
-    collect_samples: bool,
 }
 
-/// Observability side-car for one simulated run: cumulative metrics
-/// feeding a burn-rate engine on the virtual clock, plus the always-on
-/// per-shard flight recorder and the request-timeline index, both
-/// attached to the run's [`ShardSet`]. The simulation's *outcome* never
-/// depends on it — gate 4 replays without one and must match byte for
-/// byte.
+/// Observability side-car for one simulated run: a burn-rate engine
+/// fed snapshots of the run's [`ShardSet`] metrics on the virtual
+/// clock, plus the always-on per-shard flight recorder and the
+/// request-timeline index, both attached to the set. The simulation's
+/// *outcome* never depends on it — gate 4 replays without one and must
+/// match byte for byte.
 struct StormObs {
-    metrics: Metrics,
     engine: SloEngine,
     next_observe: Duration,
     alerts: Vec<SloAlert>,
@@ -183,9 +182,8 @@ struct StormObs {
 }
 
 impl StormObs {
-    fn new(models: usize, shards: usize) -> StormObs {
+    fn new(shards: usize) -> StormObs {
         StormObs {
-            metrics: Metrics::new((0..models).map(|m| format!("m{m}")).collect(), shards),
             engine: SloEngine::new(vec![SloPolicy::two_window(
                 "storm-latency",
                 None,
@@ -198,27 +196,6 @@ impl StormObs {
             alerts: Vec::new(),
             flight: Arc::new(FlightRecorder::new(shards, FLIGHT_CAPACITY)),
             trace: Arc::new(TraceIndex::new()),
-        }
-    }
-}
-
-fn inject(
-    set: &ShardSet<u64>,
-    arrivals: &mut Peekable<std::slice::Iter<'_, StormItem>>,
-    now: Duration,
-    admitted: &mut u64,
-    rejected: &mut u64,
-) {
-    while arrivals.peek().is_some_and(|a| a.arrival <= now) {
-        let item = arrivals.next().expect("peeked");
-        match set.submit(item.model, item.priority, item.seed, item.arrival) {
-            Ok(_) => *admitted += 1,
-            Err(_) => {
-                *rejected += 1;
-                // Refused at admission: no seq exists, so the shed
-                // event rides the seq-0 convention.
-                set.emit(set.home(item.model), ReqEvent::new(0, item.arrival, ReqEventKind::Shed));
-            }
         }
     }
 }
@@ -242,19 +219,8 @@ fn simulate(
         set = set.with_flight(Arc::clone(&o.flight)).with_trace(Arc::clone(&o.trace));
     }
     let mut arrivals = trace.iter().peekable();
-    let mut out = SimOutcome {
-        admitted: 0,
-        rejected: 0,
-        served: 0,
-        batches: 0,
-        stolen: 0,
-        makespan: Duration::ZERO,
-        all: LatencyHistogram::new(),
-        classes: [LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new()],
-        class_counts: [0; 3],
-        shards: (0..cfg.shards).map(|_| ShardStats::default()).collect(),
-        samples: Vec::new(),
-    };
+    let (mut admitted, mut rejected, mut makespan) = (0, 0, Duration::ZERO);
+    let mut samples = Vec::new();
     // Per model: whether a partial / a full multi-lane batch has been
     // sampled yet.
     let mut sampled = vec![[false; 2]; caps.len()];
@@ -272,58 +238,32 @@ fn simulate(
         if let Some(o) = obs.as_deref_mut() {
             while t >= o.next_observe {
                 let at = o.next_observe;
-                let snapshot = o.metrics.snapshot(at);
+                let snapshot = set.snapshot(at);
                 o.alerts.extend(o.engine.observe(at, &snapshot));
                 o.next_observe += OBSERVE_PERIOD;
             }
         }
-        inject(&set, &mut arrivals, t, &mut out.admitted, &mut out.rejected);
+        while let Some(item) = arrivals.next_if(|a| a.arrival <= t) {
+            match set.submit(item.model, item.priority, item.seed, item.arrival) {
+                Ok(_) => admitted += 1,
+                Err(_) => rejected += 1,
+            }
+        }
         match set.poll_at(shard, t) {
             ShardPoll::Ready { batch, from } => {
                 let model = batch.model;
                 let lanes = batch.requests;
                 let t_end = t + layer_dt(model, lanes.len()) * layer_counts[model] as u32;
-                out.batches += 1;
-                out.served += lanes.len() as u64;
-                let stats = &mut out.shards[shard];
-                stats.batches += 1;
-                if from != shard {
-                    out.stolen += 1;
-                    stats.stolen += 1;
-                }
-                for item in &lanes {
-                    let latency = t_end.saturating_sub(item.enqueued_at);
-                    out.all.record(latency);
-                    out.classes[item.priority.index()].record(latency);
-                    out.class_counts[item.priority.index()] += 1;
-                    stats.latency.record(latency);
-                    set.emit(shard, ReqEvent::new(item.seq, t_end, ReqEventKind::Resolved));
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    let priorities: Vec<Priority> = lanes.iter().map(|r| r.priority).collect();
-                    let waits: Vec<Duration> =
-                        lanes.iter().map(|r| t.saturating_sub(r.enqueued_at)).collect();
-                    let latencies: Vec<Duration> =
-                        lanes.iter().map(|r| t_end.saturating_sub(r.enqueued_at)).collect();
-                    o.metrics.record_batch(
-                        model,
-                        shard,
-                        from != shard,
-                        t_end.saturating_sub(t),
-                        &priorities,
-                        &waits,
-                        &latencies,
-                    );
-                }
-                out.makespan = out.makespan.max(t_end);
-                if cfg.collect_samples && lanes.len() >= 2 {
+                set.complete(shard, from, model, &lanes, t, t_end);
+                makespan = makespan.max(t_end);
+                if lanes.len() >= 2 {
                     // The first partial and the first full multi-lane
                     // batch of every model, for real re-execution.
                     let full = usize::from(lanes.len() == caps[model]);
                     if !sampled[model][full] {
                         sampled[model][full] = true;
                         let seeds = lanes.iter().map(|r| r.payload).collect();
-                        out.samples.push(Sample { model, seeds });
+                        samples.push(Sample { model, seeds });
                     }
                 }
                 heap.push(Reverse((t_end, shard, worker)));
@@ -345,58 +285,69 @@ fn simulate(
         }
     }
     assert!(set.is_empty(), "simulation ended with requests still queued");
-    out
+    SimOutcome { admitted, rejected, makespan, samples, booked: set.snapshot(makespan) }
 }
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Serializes one run's outcome as a JSON object (also the determinism
-/// fingerprint: two runs of the same seed must produce identical text).
-fn outcome_json(out: &SimOutcome) -> String {
-    let mut j = String::new();
-    let _ = writeln!(
-        j,
-        "{{\"admitted\": {}, \"rejected\": {}, \"served\": {}, \"batches\": {}, \"stolen\": {}, \"makespan_ms\": {:.3},",
-        out.admitted, out.rejected, out.served, out.batches, out.stolen, ms(out.makespan)
-    );
-    let _ = writeln!(
-        j,
-        "      \"all\": {{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \"mean_ms\": {:.3}}},",
-        ms(out.all.quantile(0.5)),
-        ms(out.all.quantile(0.99)),
-        ms(out.all.quantile(0.999)),
-        ms(out.all.mean())
+/// Renders the latency rows of a metrics snapshot — all classes
+/// pooled, each class, each shard — as the tail of a JSON object.
+fn latency_json(snap: &MetricsSnapshot) -> String {
+    let all = pooled(snap);
+    let mut j = format!(
+        "      \"all\": {{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \"mean_ms\": {:.3}}},\n",
+        ms(all.quantile(0.5)),
+        ms(all.quantile(0.99)),
+        ms(all.quantile(0.999)),
+        ms(all.mean())
     );
     j.push_str("      \"classes\": [");
-    for (i, class) in [Priority::High, Priority::Normal, Priority::Low].iter().enumerate() {
-        let h = &out.classes[i];
+    for (i, c) in snap.latency_by_class.iter().enumerate() {
         let _ = write!(
             j,
-            "{}{{\"class\": \"{class}\", \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
+            "{}{{\"class\": \"{}\", \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
             if i > 0 { ", " } else { "" },
-            out.class_counts[i],
-            ms(h.quantile(0.5)),
-            ms(h.quantile(0.99)),
-            ms(h.quantile(0.999))
+            c.priority,
+            c.completed,
+            ms(c.p50),
+            ms(c.p99),
+            ms(c.p999)
         );
     }
     j.push_str("],\n      \"per_shard\": [");
-    for (i, s) in out.shards.iter().enumerate() {
+    for (i, s) in snap.per_shard.iter().enumerate() {
         let _ = write!(
             j,
-            "{}{{\"shard\": {i}, \"batches\": {}, \"stolen\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
+            "{}{{\"shard\": {}, \"batches\": {}, \"stolen\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
             if i > 0 { ", " } else { "" },
+            s.shard,
             s.batches,
             s.stolen,
-            ms(s.latency.quantile(0.5)),
-            ms(s.latency.quantile(0.99)),
-            ms(s.latency.quantile(0.999))
+            ms(s.p50),
+            ms(s.p99),
+            ms(s.p999)
         );
     }
-    j.push_str("]}");
+    j.push(']');
     j
+}
+
+/// Serializes one run's outcome as a JSON object (also the determinism
+/// fingerprint: two runs of the same seed must produce identical text).
+fn outcome_json(out: &SimOutcome) -> String {
+    let booked = &out.booked;
+    format!(
+        "{{\"admitted\": {}, \"rejected\": {}, \"served\": {}, \"batches\": {}, \"stolen\": {}, \"makespan_ms\": {:.3},\n{}}}",
+        out.admitted,
+        out.rejected,
+        booked.total_completed(),
+        booked.per_shard.iter().map(|s| s.batches).sum::<u64>(),
+        booked.total_stolen(),
+        ms(out.makespan),
+        latency_json(booked)
+    )
 }
 
 /// The wall-clock storm: a real threaded sharded server, real
@@ -422,8 +373,6 @@ fn system_storm(registry: ModelRegistry) -> String {
                 max_wait: Duration::from_micros(500),
                 queue_capacity: SYSTEM_REQUESTS,
             },
-            slo: None,
-            inject_panic_seed: None,
             ..ServeConfig::default()
         },
     );
@@ -470,39 +419,12 @@ fn system_storm(registry: ModelRegistry) -> String {
     );
     print!("{snapshot}");
 
-    let mut j = String::new();
-    let _ = write!(
-        j,
-        "{{\"requests\": {SYSTEM_REQUESTS}, \"shards\": 2, \"workers_per_shard\": 2, \"wall_ms\": {:.1}, \"throughput_rps\": {rps:.0}, \"stolen\": {}, \"classes\": [",
+    format!(
+        "{{\"requests\": {SYSTEM_REQUESTS}, \"shards\": 2, \"workers_per_shard\": 2, \"wall_ms\": {:.1}, \"throughput_rps\": {rps:.0}, \"stolen\": {},\n{}}}",
         ms(wall),
-        snapshot.total_stolen()
-    );
-    for (i, c) in snapshot.latency_by_class.iter().enumerate() {
-        let _ = write!(
-            j,
-            "{}{{\"class\": \"{}\", \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
-            if i > 0 { ", " } else { "" },
-            c.priority,
-            c.completed,
-            ms(c.p50),
-            ms(c.p99),
-            ms(c.p999)
-        );
-    }
-    j.push_str("], \"per_shard\": [");
-    for (i, s) in snapshot.per_shard.iter().enumerate() {
-        let _ = write!(
-            j,
-            "{}{{\"shard\": {}, \"batches\": {}, \"stolen\": {}, \"p999_ms\": {:.3}}}",
-            if i > 0 { ", " } else { "" },
-            s.shard,
-            s.batches,
-            s.stolen,
-            ms(s.p999)
-        );
-    }
-    j.push_str("]}");
-    j
+        snapshot.total_stolen(),
+        latency_json(&snapshot)
+    )
 }
 
 fn main() {
@@ -521,10 +443,8 @@ fn main() {
     );
 
     // --- virtual-clock storms: baseline vs sharded, same trace ---
-    let baseline_cfg =
-        SimConfig { shards: 1, workers_per_shard: 4, steal: false, collect_samples: false };
-    let sharded_cfg =
-        SimConfig { shards: 4, workers_per_shard: 1, steal: true, collect_samples: true };
+    let baseline_cfg = SimConfig { shards: 1, workers_per_shard: 4, steal: false };
+    let sharded_cfg = SimConfig { shards: 4, workers_per_shard: 1, steal: true };
     let wall = Instant::now();
     let baseline = simulate(&trace, &caps, &layer_counts, &baseline_cfg, None);
     // The sharded run carries the full observability stack: a
@@ -533,29 +453,29 @@ fn main() {
     // this run's shard set has them attached — the replay below must
     // stay byte-identical without them (gate 4), proving the
     // instrumentation never steers the simulation.
-    let mut storm_obs = StormObs::new(caps.len(), sharded_cfg.shards);
+    let mut storm_obs = StormObs::new(sharded_cfg.shards);
     let sharded = simulate(&trace, &caps, &layer_counts, &sharded_cfg, Some(&mut storm_obs));
     let index = &storm_obs.trace;
     println!("simulated 2 x {} requests in {:.1} ms wall", VIRTUAL_REQUESTS, ms(wall.elapsed()));
     println!(
         "baseline: served {}/{} (rejected {}), all-class p99 {:.3} ms",
-        baseline.served,
+        baseline.booked.total_completed(),
         baseline.admitted,
         baseline.rejected,
-        ms(baseline.all.quantile(0.99))
+        ms(pooled(&baseline.booked).quantile(0.99))
     );
     println!(
         "sharded:  served {}/{} (rejected {}), all-class p99 {:.3} ms, {} stolen batches",
-        sharded.served,
+        sharded.booked.total_completed(),
         sharded.admitted,
         sharded.rejected,
-        ms(sharded.all.quantile(0.99)),
-        sharded.stolen
+        ms(pooled(&sharded.booked).quantile(0.99)),
+        sharded.booked.total_stolen()
     );
 
     // Gate 1: zero admitted-but-unserved requests, in both runs.
-    assert_eq!(baseline.admitted, baseline.served, "baseline lost requests");
-    assert_eq!(sharded.admitted, sharded.served, "sharded run lost requests");
+    assert_eq!(baseline.admitted, baseline.booked.total_completed(), "baseline lost requests");
+    assert_eq!(sharded.admitted, sharded.booked.total_completed(), "sharded run lost requests");
 
     // Gate 2: sampled multi-lane compositions re-executed for real,
     // bitwise against solo runs.
@@ -585,8 +505,8 @@ fn main() {
 
     // Gate 3: sharding must not regress the tail vs the same worker
     // count behind one queue.
-    let base_p99 = baseline.all.quantile(0.99);
-    let shard_p99 = sharded.all.quantile(0.99);
+    let base_p99 = pooled(&baseline.booked).quantile(0.99);
+    let shard_p99 = pooled(&sharded.booked).quantile(0.99);
     let ratio = shard_p99.as_secs_f64() / base_p99.as_secs_f64().max(1e-12);
     println!("p99 ratio sharded/baseline: {ratio:.3}");
     assert!(
@@ -613,7 +533,11 @@ fn main() {
     // counters.
     let stats = index.verify().unwrap_or_else(|e| panic!("request-trace verification failed: {e}"));
     assert_eq!(stats.requests as u64, sharded.admitted, "one timeline per admitted request");
-    assert_eq!(stats.resolved as u64, sharded.served, "every served lane traced Resolved");
+    assert_eq!(
+        stats.resolved as u64,
+        sharded.booked.total_completed(),
+        "every served lane traced Resolved"
+    );
     assert_eq!(stats.failed, 0, "no faults injected, no Failed timelines");
     assert_eq!(stats.sheds, sharded.rejected, "every rejection traced as a shed");
     assert!(stats.steals > 0, "storm produced no stolen batches to trace");

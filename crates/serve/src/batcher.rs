@@ -150,16 +150,8 @@ impl fmt::Display for BatchConfigError {
 
 impl std::error::Error for BatchConfigError {}
 
-/// A queued request: opaque payload plus batching metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Pending<T> {
-    seq: u64,
-    enqueued_at: Duration,
-    priority: Priority,
-    payload: T,
-}
-
-/// One request inside a released [`Batch`].
+/// One request: the caller's payload plus batching metadata, queued as
+/// is and released inside a [`Batch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchItem<T> {
     /// Submission-order sequence number (globally unique, monotone).
@@ -183,7 +175,9 @@ pub struct Batch<T> {
     pub requests: Vec<BatchItem<T>>,
 }
 
-/// Why a submission was refused at the queue.
+/// Why a submission was refused. A [`DynamicBatcher`] refuses only
+/// with [`QueueFull`](Self::QueueFull); a [`ShardSet`](crate::ShardSet)
+/// adds its admission test and its closed state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
     /// The model's bounded queue is at capacity — backpressure.
@@ -193,6 +187,19 @@ pub enum SubmitError {
         /// The configured bound that was hit.
         capacity: usize,
     },
+    /// The backlog already implies missing the SLO
+    /// ([`ShardSet::with_slo`](crate::ShardSet::with_slo)).
+    SloUnattainable {
+        /// Dense model index.
+        model: usize,
+        /// Estimated queueing delay: the model's backlog times its
+        /// smoothed per-image service time.
+        estimated: Duration,
+        /// The objective it exceeds.
+        slo: Duration,
+    },
+    /// The set is closed ([`ShardSet::close`](crate::ShardSet::close)).
+    Closed,
 }
 
 impl fmt::Display for SubmitError {
@@ -201,6 +208,13 @@ impl fmt::Display for SubmitError {
             SubmitError::QueueFull { model, capacity } => {
                 write!(f, "model {model} queue is full ({capacity} requests)")
             }
+            SubmitError::SloUnattainable { model, estimated, slo } => {
+                write!(
+                    f,
+                    "model {model} backlog implies ~{estimated:?} queueing, over the {slo:?} SLO"
+                )
+            }
+            SubmitError::Closed => write!(f, "the shard set is closed"),
         }
     }
 }
@@ -227,7 +241,7 @@ pub struct DynamicBatcher<T> {
     /// `min(config.max_batch, model's batch dimension)`.
     caps: Vec<usize>,
     /// `queues[model][class]`.
-    queues: Vec<[VecDeque<Pending<T>>; 3]>,
+    queues: Vec<[VecDeque<BatchItem<T>>; 3]>,
     seq: u64,
     seq_stride: u64,
 }
@@ -337,12 +351,8 @@ impl<T> DynamicBatcher<T> {
         }
         let seq = self.seq;
         self.seq += self.seq_stride;
-        self.queues[model][priority.index()].push_back(Pending {
-            seq,
-            enqueued_at: now,
-            priority,
-            payload,
-        });
+        let item = BatchItem { seq, enqueued_at: now, priority, payload };
+        self.queues[model][priority.index()].push_back(item);
         Ok(seq)
     }
 
@@ -383,20 +393,13 @@ impl<T> DynamicBatcher<T> {
         if limit == 0 {
             return requests;
         }
-        let item = |p: Pending<T>| BatchItem {
-            seq: p.seq,
-            enqueued_at: p.enqueued_at,
-            priority: p.priority,
-            payload: p.payload,
-        };
         if let Some(class) = self.oldest_class(model) {
-            let p = self.queues[model][class].pop_front().expect("front exists");
-            requests.push(item(p));
+            requests.push(self.queues[model][class].pop_front().expect("front exists"));
         }
         for class in 0..3 {
             while requests.len() < limit {
                 match self.queues[model][class].pop_front() {
-                    Some(p) => requests.push(item(p)),
+                    Some(item) => requests.push(item),
                     None => break,
                 }
             }

@@ -22,12 +22,13 @@
 //! * [`ShardSet`] — per-shard batcher queues behind home routing
 //!   (`model % shards`) with optional work stealing of whole released
 //!   batches, so idle shards soak up another shard's backlog without
-//!   disturbing per-class FIFO order; it is also the one emitter of
-//!   the request-event stream, into its attached flight recorder and
-//!   (optionally) a `wino_obs::TraceIndex`;
-//! * [`Server`] — admission control (bounded queues, optional
-//!   SLO-based shedding) in front of per-shard `std::thread` worker
-//!   groups that execute released batches through the cached banks —
+//!   disturbing per-class FIFO order; it is also the one booker of a
+//!   request's life — admission control (bounded queues, optional
+//!   SLO-based shedding), completion and failure — into its own
+//!   [`Metrics`], its attached flight recorder and (optionally) a
+//!   `wino_obs::TraceIndex`;
+//! * [`Server`] — per-shard `std::thread` worker groups that drive the
+//!   set and execute released batches through the cached banks —
 //!   the release is the one place a batch's membership is decided —
 //!   and fulfill per-request [`ResponseHandle`]s;
 //!   worker faults are caught and retried solo, so admitted requests

@@ -15,7 +15,7 @@
 //! queue-wait histograms, so the batcher's anti-starvation behaviour is
 //! measurable per class.
 
-use crate::Priority;
+use crate::{BatchItem, Priority};
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -124,6 +124,16 @@ impl LatencyHistogram {
         } else {
             Duration::from_nanos(1500u64 << (b - 1))
         }
+    }
+
+    /// Adds every sample of `other` to this histogram — how the
+    /// all-class row is built from the per-class histograms.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.total += other.total;
+        self.sum_us += other.sum_us;
     }
 
     /// Samples **certainly** above `threshold`: the summed counts of
@@ -380,55 +390,48 @@ impl Metrics {
         Metrics { models, state }
     }
 
-    /// Records one executed batch: the shard whose worker group ran it
-    /// (and whether the batch was stolen from another shard's queue),
-    /// its size, the service time of the whole batch, and each
-    /// request's priority class, queue wait and end-to-end latency
-    /// (the three slices are index-aligned).
+    /// Records one executed batch of `model` on `shard` (`stolen` from
+    /// another shard's queue or not): the released `items` ran from
+    /// `started` to `finished`, so each waited from its `enqueued_at` to
+    /// `started` and took `finished - enqueued_at` end to end.
     ///
     /// # Panics
     ///
-    /// Panics when `model` or `shard` is out of range or the slices
-    /// disagree in length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_batch(
+    /// Panics when `model` or `shard` is out of range.
+    pub fn record_batch<T>(
         &self,
         model: usize,
         shard: usize,
         stolen: bool,
-        service: Duration,
-        priorities: &[Priority],
-        waits: &[Duration],
-        latencies: &[Duration],
+        items: &[BatchItem<T>],
+        started: Duration,
+        finished: Duration,
     ) {
-        assert_eq!(waits.len(), latencies.len());
-        assert_eq!(waits.len(), priorities.len());
-        let batch = waits.len() as u64;
+        let batch = items.len() as u64;
         let mut state = self.state.lock().expect("metrics lock");
-        let c = &mut state.models[model];
+        let state = &mut *state;
+        let (c, s) = (&mut state.models[model], &mut state.shards[shard]);
         c.batches += 1;
         c.completed += batch;
-        for (&w, &l) in waits.iter().zip(latencies) {
-            c.queue_wait.record(w);
-            c.latency.record(l);
+        s.batches += 1;
+        s.stolen += u64::from(stolen);
+        s.completed += batch;
+        for item in items {
+            let wait = started.saturating_sub(item.enqueued_at);
+            let latency = finished.saturating_sub(item.enqueued_at);
+            c.queue_wait.record(wait);
+            c.latency.record(latency);
+            s.latency.record(latency);
+            state.class_waits[item.priority.index()].record(wait);
+            state.class_latencies[item.priority.index()].record(latency);
         }
         if batch > 0 {
+            let service = finished.saturating_sub(started);
             let per_image = service.as_micros() as f64 / batch as f64;
             // EWMA with alpha 0.3: reactive enough for admission
             // control, smooth enough to ignore one noisy batch.
             c.ewma_image_us =
                 Some(c.ewma_image_us.map_or(per_image, |old| 0.7 * old + 0.3 * per_image));
-        }
-        let s = &mut state.shards[shard];
-        s.batches += 1;
-        s.stolen += u64::from(stolen);
-        s.completed += batch;
-        for &l in latencies {
-            s.latency.record(l);
-        }
-        for ((&p, &w), &l) in priorities.iter().zip(waits).zip(latencies) {
-            state.class_waits[p.index()].record(w);
-            state.class_latencies[p.index()].record(l);
         }
     }
 
@@ -548,6 +551,14 @@ mod tests {
         Duration::from_millis(v)
     }
 
+    /// Released items of the given classes, enqueued at the given
+    /// times (ms).
+    fn items(lanes: &[(Priority, u64)]) -> Vec<BatchItem<()>> {
+        let item =
+            |&(priority, at)| BatchItem { seq: 0, enqueued_at: ms(at), priority, payload: () };
+        lanes.iter().map(item).collect()
+    }
+
     #[test]
     fn histogram_quantiles_report_bucket_midpoints_within_2x() {
         let mut h = LatencyHistogram::new();
@@ -590,9 +601,9 @@ mod tests {
     #[test]
     fn batch_recording_feeds_snapshot_and_ewma() {
         let m = Metrics::new(vec!["a".into(), "b".into()], 2);
-        let normal = [Priority::Normal, Priority::Normal];
-        m.record_batch(0, 0, false, ms(8), &normal, &[ms(1), ms(2)], &[ms(5), ms(6)]);
-        m.record_batch(0, 0, false, ms(4), &[Priority::High], &[ms(1)], &[ms(3)]);
+        let normal = items(&[(Priority::Normal, 1), (Priority::Normal, 0)]);
+        m.record_batch(0, 0, false, &normal, ms(2), ms(10));
+        m.record_batch(0, 0, false, &items(&[(Priority::High, 0)]), ms(1), ms(5));
         m.record_rejected(1);
         let snap = m.snapshot(ms(1000));
         assert_eq!(snap.total_completed(), 3);
@@ -612,15 +623,8 @@ mod tests {
     #[test]
     fn queue_waits_are_attributed_to_priority_classes() {
         let m = Metrics::new(vec!["a".into()], 1);
-        m.record_batch(
-            0,
-            0,
-            false,
-            ms(2),
-            &[Priority::High, Priority::Low, Priority::Low],
-            &[ms(1), ms(64), ms(64)],
-            &[ms(2), ms(65), ms(65)],
-        );
+        let lanes = items(&[(Priority::High, 63), (Priority::Low, 0), (Priority::Low, 0)]);
+        m.record_batch(0, 0, false, &lanes, ms(64), ms(66));
         let snap = m.snapshot(ms(100));
         assert_eq!(snap.queue_wait_by_class.len(), 3);
         let by_class = &snap.queue_wait_by_class;
@@ -643,17 +647,17 @@ mod tests {
         m.record_rejected(0);
         assert_eq!(m.estimated_image_time(0), None);
         // An empty batch (possible only in principle) must not either.
-        m.record_batch(0, 0, false, Duration::ZERO, &[], &[], &[]);
+        m.record_batch::<()>(0, 0, false, &[], Duration::ZERO, Duration::ZERO);
         assert_eq!(m.estimated_image_time(0), None);
     }
 
     #[test]
     fn ewma_converges_after_a_service_time_step_change() {
         let m = Metrics::new(vec!["a".into()], 1);
-        let one = [Priority::Normal];
+        let one = items(&[(Priority::Normal, 0)]);
         // Five batches at 4 ms per image settle the estimate at 4 ms.
         for _ in 0..5 {
-            m.record_batch(0, 0, false, ms(4), &one, &[ms(0)], &[ms(4)]);
+            m.record_batch(0, 0, false, &one, ms(0), ms(4));
         }
         let before = m.estimated_image_time(0).unwrap();
         assert!((before.as_secs_f64() - 0.004).abs() < 1e-4, "{before:?}");
@@ -661,7 +665,7 @@ mod tests {
         // residual decays by 0.7 per batch: after 20 batches the
         // estimate is within 0.7^20 ≈ 0.08% of the new level.
         for _ in 0..20 {
-            m.record_batch(0, 0, false, ms(8), &one, &[ms(0)], &[ms(8)]);
+            m.record_batch(0, 0, false, &one, ms(0), ms(8));
         }
         let after = m.estimated_image_time(0).unwrap();
         let err = (after.as_secs_f64() - 0.008).abs() / 0.008;
@@ -670,9 +674,9 @@ mod tests {
         // had moved towards the step but not overshot.
         let m2 = Metrics::new(vec!["a".into()], 1);
         for _ in 0..5 {
-            m2.record_batch(0, 0, false, ms(4), &one, &[ms(0)], &[ms(4)]);
+            m2.record_batch(0, 0, false, &one, ms(0), ms(4));
         }
-        m2.record_batch(0, 0, false, ms(8), &one, &[ms(0)], &[ms(8)]);
+        m2.record_batch(0, 0, false, &one, ms(0), ms(8));
         let one_step = m2.estimated_image_time(0).unwrap();
         // 0.7 · 4 ms + 0.3 · 8 ms = 5.2 ms.
         assert!((one_step.as_secs_f64() - 0.0052).abs() < 1e-4, "{one_step:?}");
@@ -708,10 +712,10 @@ mod tests {
     fn shard_counters_attribute_batches_steals_and_failures() {
         let m = Metrics::new(vec!["a".into()], 3);
         // Shard 0 executes two home batches; shard 2 steals one.
-        let normal = [Priority::Normal, Priority::Normal];
-        m.record_batch(0, 0, false, ms(4), &normal, &[ms(1), ms(1)], &[ms(5), ms(6)]);
-        m.record_batch(0, 0, false, ms(4), &[Priority::High], &[ms(1)], &[ms(3)]);
-        m.record_batch(0, 2, true, ms(4), &[Priority::Low], &[ms(9)], &[ms(13)]);
+        let normal = items(&[(Priority::Normal, 0), (Priority::Normal, 0)]);
+        m.record_batch(0, 0, false, &normal, ms(1), ms(5));
+        m.record_batch(0, 0, false, &items(&[(Priority::High, 0)]), ms(1), ms(5));
+        m.record_batch(0, 2, true, &items(&[(Priority::Low, 0)]), ms(9), ms(13));
         m.record_failed(0, 2, 2);
         let snap = m.snapshot(ms(1000));
         assert_eq!(snap.per_shard.len(), 3);

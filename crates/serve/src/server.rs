@@ -5,12 +5,14 @@
 //! [`ShardSet`] of per-shard [`DynamicBatcher`](crate::DynamicBatcher)s,
 //! and `shards × workers` threads. The request lifecycle:
 //!
-//! 1. **Submit** — [`Server::submit`] resolves the model ID, applies
-//!    admission control (bounded home-shard queue; optionally, the SLO
-//!    test: reject when `backlog × smoothed-per-image-service-time`
-//!    already exceeds the configured SLO), stamps the arrival time and
-//!    enqueues on the model's home shard. The caller gets a
-//!    [`ResponseHandle`] — a one-shot slot the serving side fulfills.
+//! 1. **Submit** — [`Server::submit`] resolves the model ID and hands
+//!    the request to [`ShardSet::submit`], which applies admission
+//!    control under the home-shard lock (shutdown; optionally, the SLO
+//!    test: refuse when `backlog × smoothed-per-image-service-time`
+//!    already exceeds the configured SLO; the bounded home-shard
+//!    queue), stamps the arrival time, enqueues the request and books
+//!    any refusal. The caller gets a [`ResponseHandle`] — a one-shot
+//!    slot the serving side fulfills.
 //! 2. **Batch** — the home shard's batcher coalesces same-model
 //!    requests until the batch dimension fills or the oldest request
 //!    has waited `max_wait`. An idle shard's worker may **steal** the
@@ -22,8 +24,9 @@
 //!    The release decided the batch's membership; nothing joins or
 //!    leaves it in flight.
 //! 4. **Respond** — per-request outputs (bitwise identical to a solo
-//!    run, whoever shared the batch) are split out, metrics record
-//!    per-model, per-shard and per-class figures, and each handle is
+//!    run, whoever shared the batch) are split out,
+//!    [`ShardSet::complete`] books per-model, per-shard and per-class
+//!    figures and traces each lane resolved, and each handle is
 //!    fulfilled.
 //!
 //! **Faults.** A worker panic mid-batch (exercised by
@@ -37,8 +40,8 @@
 //! cleanly.
 
 use crate::{
-    Batch, BatchConfig, BatchItem, Clock, InferOutput, Metrics, MetricsSnapshot, ModelId,
-    ModelRegistry, Priority, ShardPoll, ShardSet, SubmitError, SystemClock,
+    Batch, BatchConfig, BatchItem, Clock, InferOutput, MetricsSnapshot, ModelId, ModelRegistry,
+    Priority, ShardPoll, ShardSet, SubmitError, SystemClock,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -280,11 +283,9 @@ struct Inner {
     /// banks exist once regardless of the shard count.
     registries: Vec<ModelRegistry>,
     clock: Arc<dyn Clock>,
-    slo: Option<Duration>,
     inject_panic_seed: Option<u64>,
+    /// Admits, dispatches and books every request.
     shards: ShardSet<Ticket>,
-    metrics: Metrics,
-    shutdown: AtomicBool,
     /// The always-on black box (one event ring per shard), attached to
     /// the [`ShardSet`], which emits every request event into it; the
     /// server keeps a handle to dump it.
@@ -306,19 +307,16 @@ impl Inner {
     }
     /// One worker's life on `shard`: take a due batch (home first,
     /// then steal), execute it, respond; park until a deadline or a
-    /// submit otherwise. Exits only when shutdown is flagged *and*
+    /// submit otherwise. Exits only when the set is closed *and*
     /// every shard's queue is drained.
     fn worker_loop(&self, shard: usize) {
         loop {
-            if self.shutdown.load(Ordering::Acquire) {
+            if self.shards.is_closed() {
                 // Drain phase: release leftover batches regardless of
-                // deadlines, from any shard, until nothing is queued.
-                // `drain_one` locks every shard before reporting empty,
-                // and submits check the shutdown flag under their home
-                // shard's lock, so the lock-order chain guarantees no
-                // admitted ticket is left behind.
-                match self.shards.drain_one(self.clock.now()) {
-                    Some(batch) => self.execute(shard, batch, false),
+                // deadlines, from any shard, until nothing is queued
+                // (see `ShardSet::submit` for why none is left behind).
+                match self.shards.drain_one(shard, self.clock.now()) {
+                    Some((batch, from)) => self.execute(shard, from, batch),
                     None => return,
                 }
                 continue;
@@ -328,86 +326,32 @@ impl Inner {
             // advance is noticed promptly even without a matching
             // notify.
             match self.shards.poll_or_park(shard, now, Duration::from_millis(50)) {
-                ShardPoll::Ready { batch, from } => self.execute(shard, batch, from != shard),
+                ShardPoll::Ready { batch, from } => self.execute(shard, from, batch),
                 ShardPoll::Wait(_) => {} // parked; loop with fresh now
             }
         }
     }
 
-    /// Executes one released batch on `shard`'s worker group and
-    /// resolves every lane's response.
-    fn execute(&self, shard: usize, batch: Batch<Ticket>, stolen: bool) {
+    /// Executes one batch, released from shard `from`'s queue, on
+    /// `shard`'s worker group and resolves every lane. If the batch
+    /// panics, every lane is retried alone, as a batch of one; a lane
+    /// that faults again (deterministically, for the injected poison
+    /// seed) resolves to an explicit [`RequestError`].
+    fn execute(&self, shard: usize, from: usize, batch: Batch<Ticket>) {
         let Batch { model, requests } = batch;
-        let entry = self.registries[shard].entry(model);
-        let poison = self.inject_panic_seed;
-        let started = self.clock.now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if poison.is_some_and(|p| requests.iter().any(|r| r.payload.seed == p)) {
-                panic!("injected worker fault");
-            }
-            let seeds: Vec<u64> = requests.iter().map(|r| r.payload.seed).collect();
-            entry.infer_batch(&seeds)
-        }));
-        let finished = self.clock.now();
-        match outcome {
-            Ok(outputs) => self.respond(shard, stolen, model, requests, outputs, started, finished),
-            Err(payload) => {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_owned());
-                self.retry_solo(shard, stolen, model, requests, &reason);
-            }
-        }
-    }
-
-    /// The fault path: the batch's worker panicked, so every lane is
-    /// retried alone — each retry a batch of one, booked and answered
-    /// as soon as it finishes. Innocent lanes get their
-    /// (bitwise-correct) solo outputs; a lane that faults again —
-    /// deterministically, for the injected poison seed — resolves to an
-    /// explicit [`RequestError`].
-    fn retry_solo(
-        &self,
-        shard: usize,
-        stolen: bool,
-        model: usize,
-        requests: Vec<BatchItem<Ticket>>,
-        reason: &str,
-    ) {
-        let entry = self.registries[shard].entry(model);
-        for request in requests {
-            let seed = request.payload.seed;
-            let started = self.clock.now();
-            self.shards.emit(shard, ReqEvent::new(request.seq, started, ReqEventKind::PanicRetry));
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                if self.inject_panic_seed == Some(seed) {
-                    panic!("injected worker fault (solo retry)");
-                }
-                entry.infer_one(seed)
-            }));
-            let finished = self.clock.now();
-            match retry {
-                Ok(output) => self.respond(
-                    shard,
-                    stolen,
-                    model,
-                    vec![request],
-                    vec![output],
-                    started,
-                    finished,
-                ),
-                Err(_) => {
-                    self.metrics.record_failed(model, shard, 1);
-                    self.shards
-                        .emit(shard, ReqEvent::new(request.seq, finished, ReqEventKind::Failed));
-                    request.payload.slot.fulfill(Err(RequestError {
-                        model: entry.id().clone(),
-                        seed,
-                        reason: format!("batch worker fault, solo retry failed: {reason}"),
-                    }));
-                }
+        let Err(reason) = self.run(shard, from, model, &requests) else {
+            return;
+        };
+        for request in &requests {
+            let retry = ReqEvent::new(request.seq, self.clock.now(), ReqEventKind::PanicRetry);
+            self.shards.emit(shard, retry);
+            if self.run(shard, from, model, std::slice::from_ref(request)).is_err() {
+                self.shards.fail(shard, model, request.seq, self.clock.now());
+                request.payload.slot.fulfill(Err(RequestError {
+                    model: self.registries[shard].entry(model).id().clone(),
+                    seed: request.payload.seed,
+                    reason: format!("batch worker fault, solo retry failed: {reason}"),
+                }));
             }
         }
         // The fault path ran to completion: leave the black box behind,
@@ -415,51 +359,46 @@ impl Inner {
         self.dump_flight("fault", "flight_fault.json");
     }
 
-    /// Records metrics and traces for one executed lane set and
-    /// fulfills every response slot.
-    #[allow(clippy::too_many_arguments)]
-    fn respond(
+    /// Runs `requests` of `model` as one batch on `shard`'s worker
+    /// group. On success the set books the batch and every lane is
+    /// answered; on a panic nothing is booked or answered and the panic
+    /// message is returned.
+    fn run(
         &self,
         shard: usize,
-        stolen: bool,
+        from: usize,
         model: usize,
-        requests: Vec<BatchItem<Ticket>>,
-        outputs: Vec<InferOutput>,
-        started: Duration,
-        finished: Duration,
-    ) {
+        requests: &[BatchItem<Ticket>],
+    ) -> Result<(), String> {
         let entry = self.registries[shard].entry(model);
-        let waits: Vec<Duration> =
-            requests.iter().map(|r| started.saturating_sub(r.enqueued_at)).collect();
-        let latencies: Vec<Duration> =
-            requests.iter().map(|r| finished.saturating_sub(r.enqueued_at)).collect();
-        let priorities: Vec<Priority> = requests.iter().map(|r| r.priority).collect();
-        self.metrics.record_batch(
-            model,
-            shard,
-            stolen,
-            finished.saturating_sub(started),
-            &priorities,
-            &waits,
-            &latencies,
-        );
-
-        let size = requests.len();
-        for request in &requests {
-            self.shards.emit(shard, ReqEvent::new(request.seq, finished, ReqEventKind::Resolved));
-        }
-        for ((request, output), (&wait, &latency)) in
-            requests.into_iter().zip(outputs).zip(waits.iter().zip(&latencies))
-        {
+        let started = self.clock.now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let seeds: Vec<u64> = requests.iter().map(|r| r.payload.seed).collect();
+            if self.inject_panic_seed.is_some_and(|p| seeds.contains(&p)) {
+                panic!("injected worker fault");
+            }
+            entry.infer_batch(&seeds)
+        }));
+        let finished = self.clock.now();
+        let outputs = outcome.map_err(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_owned())
+        })?;
+        self.shards.complete(shard, from, model, requests, started, finished);
+        for (request, output) in requests.iter().zip(outputs) {
             request.payload.slot.fulfill(Ok(InferResult {
                 model: entry.id().clone(),
                 seed: request.payload.seed,
                 output,
-                queue_wait: wait,
-                latency,
-                batch_size: size,
+                queue_wait: started.saturating_sub(request.enqueued_at),
+                latency: finished.saturating_sub(request.enqueued_at),
+                batch_size: requests.len(),
             }));
         }
+        Ok(())
     }
 }
 
@@ -517,25 +456,21 @@ impl Server {
                 clone
             })
             .collect();
-        let metrics = Metrics::new(
-            registries[0].entries().iter().map(|e| e.id().to_string()).collect(),
-            shard_count,
-        );
         // Per-model batch caps: never release more than a model's
         // schedule-declared batch dimension, whatever the policy says.
         let caps = registries[0].entries().iter().map(|e| e.max_batch()).collect();
         // The black box: one bounded event ring per shard, always on.
         let flight = Arc::new(FlightRecorder::new(shard_count, config.flight_capacity.max(1)));
+        let names = registries[0].entries().iter().map(|e| e.id().to_string()).collect();
         let shards = ShardSet::new(shard_count, caps, config.batch, config.steal)
+            .with_model_names(names)
+            .with_slo(config.slo)
             .with_flight(Arc::clone(&flight));
         let inner = Arc::new(Inner {
             registries,
             clock,
-            slo: config.slo,
             inject_panic_seed: config.inject_panic_seed,
             shards,
-            metrics,
-            shutdown: AtomicBool::new(false),
             flight,
             flight_dump_dir: config.flight_dump_dir.clone(),
             shed_dumped: AtomicBool::new(false),
@@ -586,69 +521,27 @@ impl Server {
         };
         let slot = Arc::new(ResponseSlot::default());
         let ticket = Ticket { seed, slot: Arc::clone(&slot) };
-        let now = inner.clock.now();
-        let home = inner.shards.home(index);
-        // Admission decisions happen *under the home shard's lock*:
-        // the workers' exit decision (shutdown && every shard drained)
-        // acquires this same lock, so nothing can be admitted after
-        // the pool has decided to stop — the no-orphaned-ticket half
-        // of "an Ok here guarantees a resolution".
-        let decision = inner.shards.with_home(index, |queue| {
-            if inner.shutdown.load(Ordering::Acquire) {
-                return Err(AdmissionError::ShuttingDown);
+        let err = match inner.shards.submit(index, priority, ticket, inner.clock.now()) {
+            Ok(_) => return Ok(ResponseHandle { slot }),
+            Err(SubmitError::Closed) => return Err(AdmissionError::ShuttingDown),
+            Err(SubmitError::QueueFull { capacity, .. }) => {
+                AdmissionError::QueueFull { model: model.clone(), capacity }
             }
-            // SLO admission test: refuse when the backlog alone
-            // already implies blowing the objective.
-            if let (Some(slo), Some(per_image)) =
-                (inner.slo, inner.metrics.estimated_image_time(index))
-            {
-                let estimated = per_image * (queue.queued(index) as u32 + 1);
-                if estimated > slo {
-                    return Err(AdmissionError::SloUnattainable {
-                        model: model.clone(),
-                        estimated,
-                        slo,
-                    });
-                }
+            Err(SubmitError::SloUnattainable { estimated, slo, .. }) => {
+                AdmissionError::SloUnattainable { model: model.clone(), estimated, slo }
             }
-            match queue.submit(index, priority, ticket, now) {
-                Ok(seq) => {
-                    inner.shards.emit_admitted(home, seq, priority, now);
-                    Ok(())
-                }
-                Err(SubmitError::QueueFull { capacity, .. }) => {
-                    Err(AdmissionError::QueueFull { model: model.clone(), capacity })
-                }
-            }
-        });
-        match decision {
-            Ok(()) => {
-                inner.shards.notify(home);
-                Ok(ResponseHandle { slot })
-            }
-            Err(err) => {
-                if matches!(
-                    err,
-                    AdmissionError::QueueFull { .. } | AdmissionError::SloUnattainable { .. }
-                ) {
-                    inner.metrics.record_rejected(index);
-                    // Sheds carry no seq (the request never got one):
-                    // seq 0 is the trace convention for refused work.
-                    inner.shards.emit(home, ReqEvent::new(0, now, ReqEventKind::Shed));
-                    if !inner.shed_dumped.swap(true, Ordering::AcqRel) {
-                        // First shed only: overload sheds thousands and
-                        // one black-box artifact is enough.
-                        inner.dump_flight("shed", "flight_shed.json");
-                    }
-                }
-                Err(err)
-            }
+        };
+        if !inner.shed_dumped.swap(true, Ordering::AcqRel) {
+            // First shed only: overload sheds thousands and one
+            // black-box artifact is enough.
+            inner.dump_flight("shed", "flight_shed.json");
         }
+        Err(err)
     }
 
     /// A metrics snapshot covering the server's lifetime so far.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot(self.inner.clock.now())
+        self.inner.shards.snapshot(self.inner.clock.now())
     }
 
     /// Requests currently queued (admitted, not yet executing), across
@@ -673,8 +566,7 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.shards.notify_all();
+        self.inner.shards.close();
         let had_workers = !self.workers.is_empty();
         for handle in self.workers.drain(..) {
             handle.join().expect("worker panicked");
@@ -813,7 +705,7 @@ mod tests {
         assert!(err.to_string().contains("nope"));
         let inner = Arc::clone(&server.inner);
         drop(server);
-        assert!(inner.shutdown.load(Ordering::Acquire));
+        assert!(inner.shards.is_closed());
     }
 
     #[test]
@@ -842,6 +734,56 @@ mod tests {
         let snap = server.shutdown();
         assert_eq!(snap.total_completed(), 2);
         assert_eq!(snap.total_rejected(), 1);
+    }
+
+    #[test]
+    fn a_threaded_server_books_and_traces_every_request_once() {
+        // Three-deep queues under bursts of eight per model shed most of
+        // each burst; a black box that drops nothing lets the caller's
+        // counts, the metrics and the events be compared one for one.
+        let server = Server::start(
+            two_model_registry(4),
+            ServeConfig {
+                shards: 2,
+                workers: 1,
+                exec_threads_per_worker: Some(1),
+                batch: BatchConfig {
+                    max_batch: 4,
+                    max_wait: Duration::from_millis(20),
+                    queue_capacity: 3,
+                },
+                flight_capacity: 4096,
+                ..ServeConfig::default()
+            },
+        );
+        let (mut handles, mut queue_full) = (Vec::new(), 0);
+        for burst in 0..3u64 {
+            for i in 0..8 {
+                for model in ["toy-a", "toy-b"] {
+                    match server.submit(&model.into(), Priority::Normal, burst * 8 + i) {
+                        Ok(handle) => handles.push(handle),
+                        Err(AdmissionError::QueueFull { .. }) => queue_full += 1,
+                        Err(err) => panic!("unexpected refusal: {err}"),
+                    }
+                }
+            }
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        // The black box is read after shutdown, so the drain's events
+        // are in it too.
+        let inner = Arc::clone(&server.inner);
+        let snap = server.shutdown();
+        let flight = inner.flight.dump_json("test");
+        let events = |kind: &str| flight.matches(&format!("\"kind\": \"{kind}\"")).count();
+        assert!(queue_full > 0, "the bursts must overflow the queues");
+        for handle in &handles {
+            handle.try_take().expect("resolved").expect("served");
+        }
+        assert_eq!(snap.total_completed() as usize, events("resolved"));
+        assert_eq!(snap.total_completed() as usize, handles.len());
+        assert_eq!(snap.total_rejected() as usize, events("shed"));
+        assert_eq!(snap.total_rejected() as usize, queue_full);
+        assert_eq!(handles.len(), events("admitted"));
     }
 
     #[test]

@@ -29,12 +29,20 @@
 //! [`poll_or_park`](ShardSet::poll_or_park) (how
 //! [`Server`](crate::Server) worker groups wait for work).
 //!
-//! The set is also the one emitter of the request-event stream:
-//! [`emit`](ShardSet::emit) writes each [`ReqEvent`] into the sinks
-//! the set owns — a [`FlightRecorder`] and, optionally, a
-//! [`TraceIndex`] — so two sets in one process trace independently.
+//! The set is also the one **booker** of a request's life: it admits or
+//! refuses ([`submit`](ShardSet::submit)), resolves
+//! ([`complete`](ShardSet::complete)) and fails ([`fail`](ShardSet::fail))
+//! every request, into its own [`Metrics`] and, as [`ReqEvent`]s, into
+//! the sinks it owns — a [`FlightRecorder`] and, optionally, a
+//! [`TraceIndex`]. Two sets in one process book and trace independently;
+//! the threaded [`Server`](crate::Server) and the storm simulator only
+//! drive a set.
 
-use crate::{Batch, BatchConfig, DynamicBatcher, Poll, Priority, SubmitError};
+use crate::{
+    Batch, BatchConfig, BatchItem, DynamicBatcher, Metrics, MetricsSnapshot, Poll, Priority,
+    SubmitError,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind, TraceIndex};
@@ -65,11 +73,17 @@ struct Shard<T> {
 }
 
 /// `S` independent [`DynamicBatcher`] shards with home routing, work
-/// stealing, and per-shard parking — the dispatcher behind a sharded
-/// [`Server`](crate::Server).
+/// stealing, and per-shard parking — the dispatcher and booker behind a
+/// sharded [`Server`](crate::Server).
 pub struct ShardSet<T> {
     shards: Vec<Shard<T>>,
     steal: bool,
+    /// The admission objective ([`with_slo`](Self::with_slo)).
+    slo: Option<Duration>,
+    /// Set by [`close`](Self::close): every later submit is refused.
+    closed: AtomicBool,
+    /// Every booked admission refusal, batch and failure.
+    metrics: Metrics,
     /// The always-on black box, when the owner attached one
     /// ([`with_flight`](Self::with_flight)): every emitted event lands
     /// in the ring of the lane it happened on.
@@ -84,7 +98,8 @@ impl<T> ShardSet<T> {
     /// models (`caps`, `config` — see [`DynamicBatcher::with_caps`])
     /// with a collision-free sequence stride. `steal` enables the
     /// cross-shard scan in [`poll_at`](Self::poll_at) /
-    /// [`poll_or_park`](Self::poll_or_park).
+    /// [`poll_or_park`](Self::poll_or_park). The set's metrics name
+    /// model `m` `"m{m}"` until [`with_model_names`](Self::with_model_names).
     ///
     /// # Panics
     ///
@@ -92,6 +107,7 @@ impl<T> ShardSet<T> {
     /// [`BatchConfig::validate`].
     pub fn new(shard_count: usize, caps: Vec<usize>, config: BatchConfig, steal: bool) -> Self {
         assert!(shard_count > 0, "at least one shard is required");
+        let metrics = Metrics::new((0..caps.len()).map(|m| format!("m{m}")).collect(), shard_count);
         let shards = (0..shard_count)
             .map(|i| Shard {
                 queue: Mutex::new(
@@ -101,30 +117,50 @@ impl<T> ShardSet<T> {
                 wake: Condvar::new(),
             })
             .collect();
-        ShardSet { shards, steal, flight: None, trace: None }
+        ShardSet {
+            shards,
+            steal,
+            slo: None,
+            closed: AtomicBool::new(false),
+            metrics,
+            flight: None,
+            trace: None,
+        }
     }
 
-    /// Attaches a [`FlightRecorder`] black box: every event this set
-    /// [`emit`](Self::emit)s is recorded into its rings, one lane per
-    /// shard.
+    /// Names the models in the set's metrics (one ID per model, in
+    /// model-index order), starting the metrics afresh.
+    pub fn with_model_names(mut self, names: Vec<String>) -> Self {
+        self.metrics = Metrics::new(names, self.shards.len());
+        self
+    }
+
+    /// Sets the admission objective: [`submit`](Self::submit) refuses a
+    /// request whose estimated queueing delay already exceeds `slo`.
+    /// `None` (the default) admits up to the queue bound.
+    pub fn with_slo(mut self, slo: Option<Duration>) -> Self {
+        self.slo = slo;
+        self
+    }
+
+    /// Attaches a [`FlightRecorder`] black box: every request event this
+    /// set emits is recorded into its rings, one lane per shard.
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
         self
     }
 
-    /// Attaches a [`TraceIndex`]: every event this set
-    /// [`emit`](Self::emit)s is indexed into per-request timelines.
+    /// Attaches a [`TraceIndex`]: every request event this set emits is
+    /// indexed into per-request timelines.
     pub fn with_trace(mut self, trace: Arc<TraceIndex>) -> Self {
         self.trace = Some(trace);
         self
     }
 
     /// Writes one request event to every attached sink: `lane`'s ring
-    /// of the flight recorder and the trace index. The set emits
-    /// admission and dispatch events itself; the owner emits the rest
-    /// of a request's life (shed, panic-retry, resolved, failed)
-    /// through here.
-    pub fn emit(&self, lane: usize, event: ReqEvent) {
+    /// of the flight recorder and the trace index. The set's own
+    /// booking methods emit every event but the server's `PanicRetry`.
+    pub(crate) fn emit(&self, lane: usize, event: ReqEvent) {
         if let Some(flight) = &self.flight {
             flight.record(lane, event);
         }
@@ -133,26 +169,9 @@ impl<T> ShardSet<T> {
         }
     }
 
-    /// Emits the first two events of an admitted request's timeline,
-    /// `Admitted` then `Enqueued` on its home shard. Callers hold the
-    /// home-shard lock, so no dispatch event of the request can be
-    /// emitted before them.
-    pub(crate) fn emit_admitted(&self, home: usize, seq: u64, priority: Priority, now: Duration) {
-        self.emit(
-            home,
-            ReqEvent::new(seq, now, ReqEventKind::Admitted { class: priority.as_str() }),
-        );
-        self.emit(home, ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home as u32 }));
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether cross-shard stealing is enabled.
-    pub fn steals(&self) -> bool {
-        self.steal
     }
 
     /// The home shard of `model`: all of the model's requests queue
@@ -166,21 +185,21 @@ impl<T> ShardSet<T> {
         self.shards[shard].queue.lock().expect("shard lock")
     }
 
-    /// Runs `f` under `model`'s home-shard lock — the hook admission
-    /// control uses to make its refuse/admit decision and the enqueue
-    /// atomic (SLO checks read the home queue depth; the shutdown flag
-    /// must be checked under the same lock the drain decision uses).
-    pub fn with_home<R>(&self, model: usize, f: impl FnOnce(&mut DynamicBatcher<T>) -> R) -> R {
-        f(&mut self.lock(self.home(model)))
-    }
-
-    /// Enqueues a request on `model`'s home shard and wakes one of the
-    /// shard's parked workers. See [`DynamicBatcher::submit`].
+    /// Admits a request to `model`'s home shard, or refuses it.
+    ///
+    /// Under the home-shard lock the set refuses when it is
+    /// [closed](Self::close), when the SLO test fails (the model's
+    /// backlog, this request included, times its smoothed per-image
+    /// service time exceeds the objective), or when the home queue is
+    /// full. An admitted request is traced `Admitted` and `Enqueued`
+    /// before the lock is released, so no dispatch event precedes them.
+    /// A shed (queue full or SLO) is booked as a rejection and traced as
+    /// one `Shed` with seq 0: the request never got a seq.
     ///
     /// # Errors
     ///
-    /// Returns [`SubmitError::QueueFull`] when the home queue is at
-    /// capacity.
+    /// Returns [`SubmitError::Closed`], [`SubmitError::SloUnattainable`]
+    /// or [`SubmitError::QueueFull`], checked in that order.
     pub fn submit(
         &self,
         model: usize,
@@ -190,11 +209,80 @@ impl<T> ShardSet<T> {
     ) -> Result<u64, SubmitError> {
         let home = self.home(model);
         let mut queue = self.lock(home);
-        let seq = queue.submit(model, priority, payload, now)?;
-        self.emit_admitted(home, seq, priority, now);
-        drop(queue);
-        self.shards[home].wake.notify_one();
-        Ok(seq)
+        // The closed flag is read under the home-shard lock, and
+        // `drain_one` takes every shard's lock before it reports the
+        // set empty. A worker that saw the set closed and then drained
+        // it empty has therefore excluded every later admission: no
+        // admitted request is left behind when the workers stop.
+        let admitted = if self.closed.load(Ordering::Acquire) {
+            Err(SubmitError::Closed)
+        } else {
+            self.slo_test(&queue, model).and_then(|()| queue.submit(model, priority, payload, now))
+        };
+        match admitted {
+            Ok(seq) => {
+                let class = priority.as_str();
+                self.emit(home, ReqEvent::new(seq, now, ReqEventKind::Admitted { class }));
+                self.emit(
+                    home,
+                    ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home as u32 }),
+                );
+                drop(queue);
+                self.shards[home].wake.notify_one();
+            }
+            Err(SubmitError::Closed) => {}
+            Err(SubmitError::QueueFull { .. } | SubmitError::SloUnattainable { .. }) => {
+                drop(queue);
+                self.metrics.record_rejected(model);
+                self.emit(home, ReqEvent::new(0, now, ReqEventKind::Shed));
+            }
+        }
+        admitted
+    }
+
+    /// The SLO admission test of one more `model` request on `queue`.
+    fn slo_test(&self, queue: &DynamicBatcher<T>, model: usize) -> Result<(), SubmitError> {
+        // Without an objective, skip the estimate: it takes the metrics
+        // lock, which the workers' `complete` contends for.
+        let Some(slo) = self.slo else { return Ok(()) };
+        let Some(per_image) = self.metrics.estimated_image_time(model) else { return Ok(()) };
+        let estimated = per_image * (queue.queued(model) as u32 + 1);
+        if estimated > slo {
+            Err(SubmitError::SloUnattainable { model, estimated, slo })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Books one executed batch of `model`: `items`, released from shard
+    /// `from`'s queue, ran on `shard`'s workers from `started` to
+    /// `finished` (a steal when `from != shard`). Each lane is traced
+    /// `Resolved` at `finished`.
+    pub fn complete(
+        &self,
+        shard: usize,
+        from: usize,
+        model: usize,
+        items: &[BatchItem<T>],
+        started: Duration,
+        finished: Duration,
+    ) {
+        self.metrics.record_batch(model, shard, from != shard, items, started, finished);
+        for item in items {
+            self.emit(shard, ReqEvent::new(item.seq, finished, ReqEventKind::Resolved));
+        }
+    }
+
+    /// Books request `seq` of `model` as failed by `shard`'s workers at
+    /// `at`: counted in the metrics and traced `Failed`.
+    pub fn fail(&self, shard: usize, model: usize, seq: u64, at: Duration) {
+        self.metrics.record_failed(model, shard, 1);
+        self.emit(shard, ReqEvent::new(seq, at, ReqEventKind::Failed));
+    }
+
+    /// A snapshot of everything the set has booked, covering `elapsed`.
+    pub fn snapshot(&self, elapsed: Duration) -> MetricsSnapshot {
+        self.metrics.snapshot(elapsed)
     }
 
     /// Emits the dispatch events of one released batch — `Batched` on
@@ -225,17 +313,19 @@ impl<T> ShardSet<T> {
         }
     }
 
-    /// Wakes one worker parked on `shard` (submit-side notification
-    /// when the caller enqueued through [`with_home`](Self::with_home)).
-    pub fn notify(&self, shard: usize) {
-        self.shards[shard].wake.notify_one();
-    }
-
-    /// Wakes every worker on every shard — the shutdown broadcast.
-    pub fn notify_all(&self) {
+    /// Closes the set: every later [`submit`](Self::submit) is refused
+    /// with [`SubmitError::Closed`], and every parked worker is woken
+    /// to [`drain_one`](Self::drain_one) what is left.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::Release);
         for shard in &self.shards {
             shard.wake.notify_all();
         }
+    }
+
+    /// Whether [`close`](Self::close) has been called.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Polls `shard` for a due batch at `now`; with stealing enabled
@@ -298,22 +388,19 @@ impl<T> ShardSet<T> {
         ShardPoll::Wait(hint)
     }
 
-    /// Releases one batch from the first non-empty shard regardless of
-    /// deadlines — the shutdown drain loop's step. Returns `None` only
-    /// when every shard is empty. `now` stamps the dispatch events of
-    /// the drained batch (the drain is still a batch release as far as
-    /// the request trace is concerned).
-    pub fn drain_one(&self, now: Duration) -> Option<Batch<T>> {
-        (0..self.shards.len()).find_map(|s| {
-            let batch = self.lock(s).pop_any()?;
-            self.trace_dispatch(&batch, s, s, now);
-            Some(batch)
+    /// Releases one batch regardless of deadlines for a worker of
+    /// `shard` — the shutdown drain loop's step — looking at `shard`
+    /// first, then the others in ring order. Returns the batch and the
+    /// shard that released it; one from another shard is traced
+    /// `Stolen`. Returns `None` only when every shard is empty, having
+    /// taken every shard's lock (see [`submit`](Self::submit)).
+    pub fn drain_one(&self, shard: usize, now: Duration) -> Option<(Batch<T>, usize)> {
+        let count = self.shards.len();
+        (0..count).map(|step| (shard + step) % count).find_map(|from| {
+            let batch = self.lock(from).pop_any()?;
+            self.trace_dispatch(&batch, from, shard, now);
+            Some((batch, from))
         })
-    }
-
-    /// Requests queued for `model` (on its home shard).
-    pub fn queued(&self, model: usize) -> usize {
-        self.with_home(model, |q| q.queued(model))
     }
 
     /// Requests queued across every shard.
@@ -433,7 +520,7 @@ mod tests {
         }
         assert_eq!(s.total_queued(), 4);
         let mut drained = 0;
-        while let Some(batch) = s.drain_one(at(9)) {
+        while let Some((batch, _)) = s.drain_one(0, at(9)) {
             drained += batch.requests.len();
         }
         assert_eq!(drained, 4);
@@ -448,10 +535,8 @@ mod tests {
         let ((flight_a, trace_a), (flight_b, trace_b)) = (sinks(), sinks());
         let a = set(true).with_flight(Arc::clone(&flight_a)).with_trace(Arc::clone(&trace_a));
         let b = set(true).with_flight(Arc::clone(&flight_b)).with_trace(Arc::clone(&trace_b));
-        let resolve = |s: &ShardSet<u64>, lane: usize, batch: &Batch<u64>, now: Duration| {
-            for item in &batch.requests {
-                s.emit(lane, ReqEvent::new(item.seq, now, ReqEventKind::Resolved));
-            }
+        let resolve = |s: &ShardSet<u64>, shard: usize, from: usize, batch: &Batch<u64>, now| {
+            s.complete(shard, from, batch.model, &batch.requests, now, now);
         };
         let (mut sent_a, mut sent_b) = (0, 0);
         for step in 0..40u64 {
@@ -462,15 +547,15 @@ mod tests {
                 sent_b += usize::from(b.submit(model, Priority::Low, step, now).is_ok());
             }
             for (s, shard) in [(&a, step as usize % 3), (&b, (step as usize + 1) % 3)] {
-                if let ShardPoll::Ready { batch, .. } = s.poll_at(shard, now) {
-                    resolve(s, shard, &batch, now);
+                if let ShardPoll::Ready { batch, from } = s.poll_at(shard, now) {
+                    resolve(s, shard, from, &batch, now);
                 }
             }
         }
         b.emit(b.home(0), ReqEvent::new(0, at(40), ReqEventKind::Shed));
         for s in [&a, &b] {
-            while let Some(batch) = s.drain_one(at(99)) {
-                resolve(s, s.home(batch.model), &batch, at(99));
+            while let Some((batch, from)) = s.drain_one(0, at(99)) {
+                resolve(s, 0, from, &batch, at(99));
             }
         }
         assert_eq!((sent_a, sent_b), (40, 20));
@@ -487,6 +572,30 @@ mod tests {
         let (dump_a, dump_b) = (flight_a.dump_json("a"), flight_b.dump_json("b"));
         assert!(dump_a.contains("\"class\": \"high\"") && !dump_a.contains("\"low\""));
         assert!(dump_b.contains("\"class\": \"low\"") && !dump_b.contains("\"high\""));
+    }
+
+    #[test]
+    fn a_drained_batch_from_another_shard_is_booked_and_traced_as_stolen() {
+        let trace = Arc::new(TraceIndex::new());
+        let s = set(true).with_trace(Arc::clone(&trace));
+        // Model 1 lives on shard 1; its batch is not due before 5 ms.
+        let seq = s.submit(1, Priority::Normal, 7, at(0)).unwrap();
+        s.close();
+        assert!(s.is_closed());
+        assert_eq!(s.submit(1, Priority::Normal, 8, at(1)), Err(SubmitError::Closed));
+        // Shard 0's worker drains it: a steal from shard 1.
+        let (batch, from) = s.drain_one(0, at(2)).expect("one batch queued");
+        assert_eq!((from, batch.model, batch.requests[0].seq), (1, 1, seq));
+        s.complete(0, from, batch.model, &batch.requests, at(2), at(3));
+        assert!(s.drain_one(0, at(3)).is_none());
+
+        let stats = trace.verify().expect("the drained request's timeline is causal");
+        assert_eq!((stats.requests, stats.resolved, stats.steals, stats.sheds), (1, 1, 1, 0));
+        let snap = s.snapshot(at(3));
+        assert_eq!((snap.per_shard[0].batches, snap.per_shard[0].stolen), (1, 1));
+        assert_eq!(snap.per_shard[1].batches, 0);
+        // A refusal of a closed set is not a shed.
+        assert_eq!(snap.total_rejected(), 0);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl fmt::Debug for SloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Metrics;
+    use crate::{BatchItem, Metrics};
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -259,11 +259,17 @@ mod tests {
         SloPolicy::two_window("normal-10ms", Some(Priority::Normal), ms(10), 0.01, ms(50), ms(500))
     }
 
+    /// One batch of `n` `class` requests, each enqueued at 0 and
+    /// served from 0 to `latency`.
+    fn record_class(m: &Metrics, n: usize, class: Priority, latency: Duration) {
+        let items: Vec<BatchItem<()>> = (0..n as u64)
+            .map(|seq| BatchItem { seq, enqueued_at: Duration::ZERO, priority: class, payload: () })
+            .collect();
+        m.record_batch(0, 0, false, &items, Duration::ZERO, latency);
+    }
+
     fn record_n(m: &Metrics, n: usize, latency: Duration) {
-        let classes = vec![Priority::Normal; n];
-        let waits = vec![Duration::ZERO; n];
-        let lats = vec![latency; n];
-        m.record_batch(0, 0, false, latency, &classes, &waits, &lats);
+        record_class(m, n, Priority::Normal, latency);
     }
 
     #[test]
@@ -336,10 +342,7 @@ mod tests {
         let mut engine = SloEngine::new(vec![policy()]);
         // A storm of low-priority violations must not trip a
         // normal-class policy.
-        let lows = vec![Priority::Low; 50];
-        let zeros = vec![Duration::ZERO; 50];
-        let slow = vec![ms(200); 50];
-        m.record_batch(0, 0, false, ms(200), &lows, &zeros, &slow);
+        record_class(&m, 50, Priority::Low, ms(200));
         record_n(&m, 10, ms(1));
         let alerts = engine.observe(ms(10), &m.snapshot(ms(10)));
         assert!(alerts.is_empty(), "low-class violations tripped a normal-class SLO: {alerts:?}");

@@ -111,7 +111,7 @@ proptest! {
         }
         // ...then finish with the shutdown-style drain, which ignores
         // deadlines and sweeps every shard.
-        while let Some(batch) = set.drain_one(clock.now()) {
+        while let Some((batch, _)) = set.drain_one(0, clock.now()) {
             batches += 1;
             served += batch.requests.len();
             record(&batch, &mut released)?;
