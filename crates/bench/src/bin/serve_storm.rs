@@ -49,7 +49,8 @@
 //! `--virtual-only` skips the wall-clock storm, whose latency figures
 //! are noise on shared machines; CI runs it once that way, to check the
 //! committed artifacts, and once in full, for the wall-clock storm's
-//! zero-lost and bitwise gates.
+//! zero-lost, bitwise and trace-integrity gates (its 2 × 2 threaded
+//! server has a [`TraceIndex`] attached).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -59,8 +60,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wino_obs::{validate_json, write_atomic, FlightRecorder, TraceIndex};
 use wino_serve::{
-    BatchConfig, LatencyHistogram, MetricsSnapshot, ModelRegistry, Priority, ServeConfig, Server,
-    ShardPoll, ShardSet, SloAlert, SloEngine, SloPolicy,
+    BatchConfig, MetricsSnapshot, ModelRegistry, Priority, ServeConfig, Server, ShardPoll,
+    ShardSet, SloAlert, SloEngine, SloPolicy,
 };
 use wino_tensor::SplitMix64;
 
@@ -151,16 +152,6 @@ struct SimOutcome {
     booked: MetricsSnapshot,
 }
 
-/// The all-class latency distribution of a snapshot: its class
-/// histograms pooled.
-fn pooled(snap: &MetricsSnapshot) -> LatencyHistogram {
-    let mut all = LatencyHistogram::new();
-    for class in &snap.class_latency_histograms {
-        all.merge(class);
-    }
-    all
-}
-
 struct SimConfig {
     shards: usize,
     workers_per_shard: usize,
@@ -204,7 +195,7 @@ impl StormObs {
 /// virtual workers poll (and steal), and each released batch executes
 /// every layer at its released lane count with modeled per-layer
 /// service times. Arrivals are injected whenever a worker event pops,
-/// in time order.
+/// in time order; an idle worker's next event is the next arrival.
 fn simulate(
     trace: &[StormItem],
     caps: &[usize],
@@ -268,19 +259,13 @@ fn simulate(
                 }
                 heap.push(Reverse((t_end, shard, worker)));
             }
-            ShardPoll::Wait(hint) => {
-                let next_arrival = arrivals.peek().map(|a| a.arrival);
-                if next_arrival.is_none() && set.is_empty() {
-                    continue; // retire this worker; loop ends at empty heap
+            // Every queue this worker may look at is empty: it wakes at
+            // the next arrival (always later than `t`: every arrival up
+            // to `t` was just submitted), or retires once none is left.
+            ShardPoll::Wait => {
+                if let Some(next) = arrivals.peek() {
+                    heap.push(Reverse((next.arrival, shard, worker)));
                 }
-                let mut wake = t + hint.unwrap_or(Duration::from_micros(200));
-                if let Some(at) = next_arrival {
-                    wake = wake.min(at.max(t));
-                }
-                // Strictly advance time so two empty polls can never
-                // livelock at one instant.
-                wake = wake.max(t + Duration::from_micros(1));
-                heap.push(Reverse((wake, shard, worker)));
             }
         }
     }
@@ -295,7 +280,7 @@ fn ms(d: Duration) -> f64 {
 /// Renders the latency rows of a metrics snapshot — all classes
 /// pooled, each class, each shard — as the tail of a JSON object.
 fn latency_json(snap: &MetricsSnapshot) -> String {
-    let all = pooled(snap);
+    let all = snap.latency();
     let mut j = format!(
         "      \"all\": {{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \"mean_ms\": {:.3}}},\n",
         ms(all.quantile(0.5)),
@@ -304,7 +289,7 @@ fn latency_json(snap: &MetricsSnapshot) -> String {
         ms(all.mean())
     );
     j.push_str("      \"classes\": [");
-    for (i, c) in snap.latency_by_class.iter().enumerate() {
+    for (i, c) in snap.latency_by_class().iter().enumerate() {
         let _ = write!(
             j,
             "{}{{\"class\": \"{}\", \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
@@ -361,6 +346,7 @@ fn system_storm(registry: ModelRegistry) -> String {
         .step_by(97)
         .map(|item| (item.model, item.seed, registry.entry(item.model).infer_one(item.seed)))
         .collect();
+    let index = Arc::new(TraceIndex::new());
     let server = Server::start(
         registry,
         ServeConfig {
@@ -373,6 +359,7 @@ fn system_storm(registry: ModelRegistry) -> String {
                 max_wait: Duration::from_micros(500),
                 queue_capacity: SYSTEM_REQUESTS,
             },
+            trace: Some(Arc::clone(&index)),
             ..ServeConfig::default()
         },
     );
@@ -411,6 +398,14 @@ fn system_storm(registry: ModelRegistry) -> String {
             .expect("sampled request served");
         assert_eq!(&served.output, direct, "served output == solo run, bitwise");
     }
+    // Gate 5 (system): the timelines written by real worker threads
+    // verify, and their counts agree with the booked metrics.
+    let stats = index.verify().unwrap_or_else(|e| panic!("system trace verification failed: {e}"));
+    assert_eq!(stats.requests, SYSTEM_REQUESTS, "one timeline per admitted request");
+    assert_eq!(stats.resolved as u64, snapshot.total_completed(), "every served lane traced");
+    assert_eq!((stats.failed, stats.sheds), (0, 0));
+    assert!(stats.steals as u64 >= snapshot.total_stolen(), "every stolen batch traced");
+    assert_eq!(stats.steals > 0, snapshot.total_stolen() > 0, "steals traced iff booked");
     let rps = SYSTEM_REQUESTS as f64 / wall.as_secs_f64();
     println!(
         "system storm: {SYSTEM_REQUESTS} requests in {:.1} ms ({rps:.0} req/s, {} stolen)",
@@ -462,14 +457,14 @@ fn main() {
         baseline.booked.total_completed(),
         baseline.admitted,
         baseline.rejected,
-        ms(pooled(&baseline.booked).quantile(0.99))
+        ms(baseline.booked.latency().quantile(0.99))
     );
     println!(
         "sharded:  served {}/{} (rejected {}), all-class p99 {:.3} ms, {} stolen batches",
         sharded.booked.total_completed(),
         sharded.admitted,
         sharded.rejected,
-        ms(pooled(&sharded.booked).quantile(0.99)),
+        ms(sharded.booked.latency().quantile(0.99)),
         sharded.booked.total_stolen()
     );
 
@@ -505,8 +500,8 @@ fn main() {
 
     // Gate 3: sharding must not regress the tail vs the same worker
     // count behind one queue.
-    let base_p99 = pooled(&baseline.booked).quantile(0.99);
-    let shard_p99 = pooled(&sharded.booked).quantile(0.99);
+    let base_p99 = baseline.booked.latency().quantile(0.99);
+    let shard_p99 = sharded.booked.latency().quantile(0.99);
     let ratio = shard_p99.as_secs_f64() / base_p99.as_secs_f64().max(1e-12);
     println!("p99 ratio sharded/baseline: {ratio:.3}");
     assert!(

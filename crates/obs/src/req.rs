@@ -187,6 +187,15 @@ pub struct TraceIndex {
     state: Mutex<TraceState>,
 }
 
+impl std::fmt::Debug for TraceIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceIndex")
+            .field("requests", &self.requests())
+            .field("sheds", &self.sheds())
+            .finish()
+    }
+}
+
 impl TraceIndex {
     /// Creates an empty index.
     pub fn new() -> Self {

@@ -1,31 +1,37 @@
 //! Dynamic batching: coalescing single-image requests into model
-//! batches under a deadline, with per-priority-class FIFO ordering and
-//! bounded queues.
+//! batches, with per-priority-class FIFO ordering and bounded queues.
 //!
 //! [`DynamicBatcher`] is a *pure state machine*: every operation takes
 //! the current time as an argument and no operation blocks, sleeps, or
 //! reads a clock. The threaded [`Server`](crate::Server) wraps it in a
-//! mutex and turns [`Poll::Wait`] deadlines into condvar timeouts;
-//! the tests drive it with a [`VirtualClock`](crate::VirtualClock) and
-//! never sleep.
+//! mutex and parks a worker only while [`Poll::Wait`] says every queue
+//! is empty; the tests drive it with a [`VirtualClock`](crate::VirtualClock)
+//! and never sleep.
 //!
 //! ## Release policy
 //!
-//! A model's queue releases a batch when either
+//! Dispatch is **work-conserving**: a poll releases a batch whenever
+//! anything is queued, so an idle worker never waits beside a request.
+//! Which batch it releases:
 //!
-//! * **full** — it holds at least `max_batch` requests (the executor's
-//!   batch dimension is saturated; waiting longer buys nothing), or
-//! * **due** — its oldest request has waited `max_wait` (the batching
-//!   gain is no longer worth the latency).
+//! 1. Among models whose queue is **full** (at least the model's batch
+//!    cap: waiting longer buys nothing) or **due** (its oldest request
+//!    has waited `max_wait`), the one whose oldest request is oldest
+//!    (most-overdue-first).
+//! 2. Otherwise, the partial batch of the model whose oldest request is
+//!    oldest.
 //!
-//! Among releasable models the one whose oldest request is oldest goes
-//! first (most-overdue-first — the SLO-aware choice). Within the
-//! released batch, the model's **oldest request takes the first slot**
-//! regardless of class — the request whose age made the batch due
-//! always rides it, so sustained high-priority load can delay a
-//! low-priority request but never starve it — and the remaining slots
-//! fill class by class ([`Priority::High`] first) in strict FIFO order
-//! inside each class, the ordering property the serving proptests pin.
+//! So `max_wait` never holds a worker back; it only decides how long a
+//! partial batch gives way to full ones when several models have work.
+//! Under light load batches are whatever arrived while the workers were
+//! busy; under heavy load the queues fill and batches leave full.
+//!
+//! Within the released batch, the model's **oldest request takes the
+//! first slot** regardless of class — sustained high-priority load can
+//! delay a low-priority request but never starve it — and the remaining
+//! slots fill class by class ([`Priority::High`] first) in strict FIFO
+//! order inside each class, the ordering property the serving proptests
+//! pin.
 //!
 //! ## Backpressure
 //!
@@ -92,8 +98,10 @@ pub struct BatchConfig {
     ///
     /// [`ModelEntry::max_batch`]: crate::ModelEntry::max_batch
     pub max_batch: usize,
-    /// Longest a request may wait for co-batchers before a partial
-    /// batch is released anyway.
+    /// How long a model's partial batch gives way to full batches of
+    /// other models: once its oldest request has waited this long, it
+    /// ranks with them. It never holds an idle worker back (dispatch is
+    /// work-conserving).
     pub max_wait: Duration,
     /// Per-model queue bound (across all classes); submissions above
     /// it are refused.
@@ -101,7 +109,8 @@ pub struct BatchConfig {
 }
 
 impl Default for BatchConfig {
-    /// Batch up to 8, wait at most 2 ms, queue at most 64 per model.
+    /// Batch up to 8, let a partial batch give way to full ones for at
+    /// most 2 ms, queue at most 64 per model.
     fn default() -> BatchConfig {
         BatchConfig { max_batch: 8, max_wait: Duration::from_millis(2), queue_capacity: 64 }
     }
@@ -224,16 +233,14 @@ impl std::error::Error for SubmitError {}
 /// Outcome of a [`poll`](DynamicBatcher::poll).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Poll<T> {
-    /// A batch is due; run it.
+    /// A batch was released; run it.
     Ready(Batch<T>),
-    /// Nothing is due. The payload is the absolute clock time at which
-    /// the oldest queued request becomes due (`None` when every queue
-    /// is empty) — the wait-with-timeout hint for worker threads.
-    Wait(Option<Duration>),
+    /// Every queue is empty.
+    Wait,
 }
 
 /// The dynamic batcher: per-(model, class) FIFO queues and the
-/// deadline/fullness release policy, as a clock-free state machine.
+/// work-conserving release policy, as a clock-free state machine.
 #[derive(Debug, Clone)]
 pub struct DynamicBatcher<T> {
     config: BatchConfig,
@@ -407,40 +414,26 @@ impl<T> DynamicBatcher<T> {
         requests
     }
 
-    /// Releases a batch if one is due at `now`, otherwise reports how
-    /// long the caller may wait.
+    /// Releases a batch whenever anything is queued: the most overdue
+    /// full or due batch if there is one, otherwise the partial batch
+    /// of the model whose oldest request is oldest (see the module's
+    /// release policy). [`Poll::Wait`] means every queue is empty.
     pub fn poll(&mut self, now: Duration) -> Poll<T> {
-        // Most-overdue-first among releasable models; ties broken by
-        // model index for determinism.
-        let mut release: Option<(Duration, usize)> = None;
-        let mut next_deadline: Option<Duration> = None;
-        for model in 0..self.queues.len() {
-            let Some(oldest) = self.oldest_enqueue(model) else { continue };
-            let deadline = oldest + self.config.max_wait;
-            let releasable = self.queued(model) >= self.caps[model] || deadline <= now;
-            if releasable {
-                if release.is_none_or(|(best, _)| oldest < best) {
-                    release = Some((oldest, model));
-                }
-            } else if next_deadline.is_none_or(|d| deadline < d) {
-                next_deadline = Some(deadline);
-            }
+        // Keyed (not releasable, oldest enqueue, model): the minimum is
+        // the most overdue releasable model if any, else the oldest
+        // partial one; ties break by model index for determinism.
+        let pick = (0..self.queues.len())
+            .filter_map(|model| {
+                let oldest = self.oldest_enqueue(model)?;
+                let releasable =
+                    self.queued(model) >= self.caps[model] || oldest + self.config.max_wait <= now;
+                Some((!releasable, oldest, model))
+            })
+            .min();
+        match pick {
+            Some((_, _, model)) => Poll::Ready(self.drain_batch(model)),
+            None => Poll::Wait,
         }
-        match release {
-            Some((_, model)) => Poll::Ready(self.drain_batch(model)),
-            None => Poll::Wait(next_deadline),
-        }
-    }
-
-    /// Releases the most-overdue batch regardless of deadlines — the
-    /// shutdown drain: admitted requests are served, never dropped,
-    /// even when the server stops before their batch fills or ages.
-    pub fn pop_any(&mut self) -> Option<Batch<T>> {
-        let model = (0..self.queues.len())
-            .filter_map(|m| self.oldest_enqueue(m).map(|t| (t, m)))
-            .min()
-            .map(|(_, m)| m)?;
-        Some(self.drain_batch(model))
     }
 }
 
@@ -474,21 +467,46 @@ mod tests {
     }
 
     #[test]
-    fn partial_batch_waits_until_the_deadline_then_releases() {
+    fn an_idle_poll_releases_a_partial_batch_at_once() {
         let mut b = DynamicBatcher::new(1, config(8, 5, 16));
         b.submit(0, Priority::Normal, 1u64, at(2)).unwrap();
         b.submit(0, Priority::Normal, 2u64, at(4)).unwrap();
-        // Not due yet: poll reports the oldest request's deadline.
-        assert_eq!(b.poll(at(3)), Poll::Wait(Some(at(7))));
-        // At the deadline the partial batch (both requests) releases.
-        match b.poll(at(7)) {
+        // Neither full nor due (the oldest is due at 7 ms), yet a poll
+        // at 4 ms releases both: no idle worker waits beside work.
+        match b.poll(at(4)) {
             Poll::Ready(batch) => {
-                assert_eq!(batch.requests.len(), 2);
-                assert_eq!(batch.requests[0].payload, 1);
+                let order: Vec<u64> = batch.requests.iter().map(|r| r.payload).collect();
+                assert_eq!(order, [1, 2]);
             }
             other => panic!("expected ready, got {other:?}"),
         }
-        assert_eq!(b.poll(at(8)), Poll::Wait(None));
+        // Wait now means exactly "every queue is empty".
+        assert_eq!(b.poll(at(4)), Poll::Wait);
+    }
+
+    #[test]
+    fn a_full_or_due_batch_goes_before_an_older_partial_one() {
+        let mut b = DynamicBatcher::new(3, config(2, 10, 16));
+        // Models 0 and 2 hold partial batches, neither due before 10 ms;
+        // model 1 fills its batch (cap 2) last, at 2 ms.
+        b.submit(0, Priority::Normal, 0u64, at(0)).unwrap();
+        b.submit(2, Priority::Normal, 20, at(1)).unwrap();
+        b.submit(1, Priority::Normal, 10, at(2)).unwrap();
+        b.submit(1, Priority::Normal, 11, at(2)).unwrap();
+        let models: Vec<usize> = std::iter::from_fn(|| match b.poll(at(2)) {
+            Poll::Ready(batch) => Some(batch.model),
+            Poll::Wait => None,
+        })
+        .collect();
+        // Full first, then the partials oldest first, all at once.
+        assert_eq!(models, [1, 0, 2]);
+        // A due partial batch ranks with full ones, most overdue first:
+        // at 12 ms model 0 (due since 12 ms) goes before full model 1.
+        b.submit(0, Priority::Normal, 1, at(2)).unwrap();
+        b.submit(1, Priority::Normal, 12, at(11)).unwrap();
+        b.submit(1, Priority::Normal, 13, at(11)).unwrap();
+        let Poll::Ready(first) = b.poll(at(12)) else { panic!("work queued") };
+        assert_eq!(first.model, 0);
     }
 
     #[test]
@@ -571,18 +589,18 @@ mod tests {
     }
 
     #[test]
-    fn pop_any_drains_everything_for_shutdown() {
+    fn poll_drains_every_model_for_shutdown() {
         let mut b = DynamicBatcher::new(2, config(8, 1000, 16));
         b.submit(0, Priority::Normal, 1u64, at(0)).unwrap();
         b.submit(1, Priority::Low, 2, at(0)).unwrap();
-        // Nothing is due (huge max_wait), but shutdown must not drop.
-        assert!(matches!(b.poll(at(1)), Poll::Wait(Some(_))));
+        // Nothing is full or due (huge max_wait), yet polling alone
+        // drains both models: shutdown drops nothing.
         let mut drained = 0;
-        while let Some(batch) = b.pop_any() {
+        while let Poll::Ready(batch) = b.poll(at(1)) {
             drained += batch.requests.len();
         }
         assert_eq!(drained, 2);
-        assert!(b.pop_any().is_none());
+        assert!(b.is_empty());
     }
 
     #[test]
@@ -598,7 +616,7 @@ mod tests {
         // more than the cap in one batch.
         let Poll::Ready(batch) = b.poll(at(0)) else { panic!("full at cap") };
         assert_eq!(batch.requests.len(), 2);
-        let Some(rest) = b.pop_any() else { panic!("drainable") };
+        let Poll::Ready(rest) = b.poll(at(0)) else { panic!("drainable") };
         assert_eq!(rest.requests.len(), 1);
     }
 

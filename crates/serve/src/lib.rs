@@ -16,9 +16,10 @@
 //!   (via `wino_exec::PreparedPlan`), so no request ever pays transform
 //!   generation;
 //! * [`DynamicBatcher`] — coalesces single-image requests into batches
-//!   up to the model's batch dimension under a `max_wait` deadline,
-//!   with per-[`Priority`]-class FIFO ordering and bounded queues for
-//!   backpressure, as a clock-free state machine;
+//!   up to the model's batch dimension, work-conserving (an idle worker
+//!   takes whatever is queued; `max_wait` ranks a partial batch against
+//!   full ones), with per-[`Priority`]-class FIFO ordering and bounded
+//!   queues for backpressure, as a clock-free state machine;
 //! * [`ShardSet`] — per-shard batcher queues behind home routing
 //!   (`model % shards`) with optional work stealing of whole released
 //!   batches, so idle shards soak up another shard's backlog without

@@ -258,6 +258,21 @@ pub struct ClassWaitSnapshot {
     pub p999: Duration,
 }
 
+impl ClassWaitSnapshot {
+    /// The summary of class `priority`'s histogram `h`.
+    fn of((&priority, h): (&Priority, &LatencyHistogram)) -> ClassWaitSnapshot {
+        ClassWaitSnapshot {
+            priority,
+            completed: h.count(),
+            mean: h.mean(),
+            p50: h.quantile(0.50),
+            p95: h.quantile(0.95),
+            p99: h.quantile(0.99),
+            p999: h.quantile(0.999),
+        }
+    }
+}
+
 /// Point-in-time metrics of the whole server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
@@ -268,15 +283,12 @@ pub struct MetricsSnapshot {
     /// Server-wide queue-wait distribution per priority class,
     /// highest class first ([`Priority::ALL`] order).
     pub queue_wait_by_class: Vec<ClassWaitSnapshot>,
-    /// Server-wide end-to-end latency distribution per priority class,
-    /// highest class first.
-    pub latency_by_class: Vec<ClassWaitSnapshot>,
-    /// The cumulative end-to-end latency histograms behind
-    /// [`latency_by_class`](Self::latency_by_class), same
-    /// ([`Priority::ALL`]) order. Quantiles compress these to a few
-    /// points; the SLO burn-rate engine instead diffs successive
-    /// snapshots' histograms ([`LatencyHistogram::count_over`]) to
-    /// count objective violations per window.
+    /// Server-wide cumulative end-to-end latency histograms per
+    /// priority class, highest class first ([`Priority::ALL`] order).
+    /// [`latency_by_class`](Self::latency_by_class) summarises them;
+    /// the SLO burn-rate engine instead diffs successive snapshots'
+    /// histograms ([`LatencyHistogram::count_over`]) to count objective
+    /// violations per window.
     pub class_latency_histograms: Vec<LatencyHistogram>,
     /// Per-shard worker-group snapshots, shard order.
     pub per_shard: Vec<ShardSnapshot>,
@@ -296,6 +308,27 @@ impl MetricsSnapshot {
     /// Requests explicitly failed across every model (fault path).
     pub fn total_failed(&self) -> u64 {
         self.per_model.iter().map(|m| m.failed).sum()
+    }
+
+    /// Server-wide end-to-end latency summary per priority class,
+    /// highest class first, computed from
+    /// [`class_latency_histograms`](Self::class_latency_histograms).
+    pub fn latency_by_class(&self) -> Vec<ClassWaitSnapshot> {
+        Priority::ALL
+            .iter()
+            .zip(&self.class_latency_histograms)
+            .map(ClassWaitSnapshot::of)
+            .collect()
+    }
+
+    /// The all-class end-to-end latency distribution: the class
+    /// histograms merged.
+    pub fn latency(&self) -> LatencyHistogram {
+        let mut all = LatencyHistogram::new();
+        for class in &self.class_latency_histograms {
+            all.merge(class);
+        }
+        all
     }
 
     /// Batches stolen across every shard.
@@ -496,27 +529,9 @@ impl Metrics {
                 mean_queue_wait: c.queue_wait.mean(),
             })
             .collect();
-        let class_snapshot = |hists: &[LatencyHistogram; 3]| -> Vec<ClassWaitSnapshot> {
-            Priority::ALL
-                .iter()
-                .map(|&priority| {
-                    let h = &hists[priority.index()];
-                    ClassWaitSnapshot {
-                        priority,
-                        completed: h.count(),
-                        mean: h.mean(),
-                        p50: h.quantile(0.50),
-                        p95: h.quantile(0.95),
-                        p99: h.quantile(0.99),
-                        p999: h.quantile(0.999),
-                    }
-                })
-                .collect()
-        };
-        let queue_wait_by_class = class_snapshot(&state.class_waits);
-        let latency_by_class = class_snapshot(&state.class_latencies);
-        let class_latency_histograms =
-            Priority::ALL.iter().map(|&p| state.class_latencies[p.index()].clone()).collect();
+        let queue_wait_by_class =
+            Priority::ALL.iter().zip(&state.class_waits).map(ClassWaitSnapshot::of).collect();
+        let class_latency_histograms = state.class_latencies.to_vec();
         let per_shard = state
             .shards
             .iter()
@@ -536,7 +551,6 @@ impl Metrics {
             elapsed,
             per_model,
             queue_wait_by_class,
-            latency_by_class,
             class_latency_histograms,
             per_shard,
         }
@@ -731,8 +745,9 @@ mod tests {
         assert!(s2.p999 >= ms(8) && s0.p999 > Duration::ZERO);
         // Per-class *latency* histograms are populated alongside the
         // wait histograms, with a p999 at least the class p50.
-        assert_eq!(snap.latency_by_class.len(), 3);
-        let low = &snap.latency_by_class[Priority::Low.index()];
+        let by_class = snap.latency_by_class();
+        assert_eq!(by_class.len(), 3);
+        let low = &by_class[Priority::Low.index()];
         assert_eq!(low.completed, 1);
         assert!(low.p999 >= low.p50 && low.p999 >= ms(8));
         // The human-readable dump mentions shard lines too.

@@ -13,11 +13,13 @@
 //!    queue), stamps the arrival time, enqueues the request and books
 //!    any refusal. The caller gets a [`ResponseHandle`] — a one-shot
 //!    slot the serving side fulfills.
-//! 2. **Batch** — the home shard's batcher coalesces same-model
-//!    requests until the batch dimension fills or the oldest request
-//!    has waited `max_wait`. An idle shard's worker may **steal** the
-//!    released batch ([`ShardSet::poll_at`]); stealing moves only
-//!    whole released batches, so ordering is untouched.
+//! 2. **Batch** — an idle worker takes whatever its home shard has
+//!    queued at once: a full batch, else one whose oldest request has
+//!    waited `max_wait`, else the oldest partial batch. Requests that
+//!    arrive while every worker is busy coalesce. An idle shard's
+//!    worker may **steal** a batch from another shard
+//!    ([`ShardSet::poll_at`]); stealing moves only whole released
+//!    batches, so ordering is untouched.
 //! 3. **Execute** — the worker drives the released batch, layer by
 //!    layer, through the model's cached plans
 //!    ([`ModelEntry::infer_batch`](crate::ModelEntry::infer_batch)).
@@ -50,10 +52,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind};
+use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind, TraceIndex};
 
 /// Server policy knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Executor shards (clamped to ≥ 1). Each shard owns a worker
     /// group, a registry clone clamped to the shard's thread budget,
@@ -103,6 +105,11 @@ pub struct ServeConfig {
     /// (the default) disables dumping; the rings still record and can
     /// be read through [`Server::flight_json`].
     pub flight_dump_dir: Option<PathBuf>,
+    /// A request-timeline index to attach to the server's
+    /// [`ShardSet`]: every request event lands in it too, so a caller
+    /// can [`verify`](TraceIndex::verify) the timelines of a threaded
+    /// run. `None` (the default) indexes nothing.
+    pub trace: Option<Arc<TraceIndex>>,
 }
 
 impl Default for ServeConfig {
@@ -120,6 +127,7 @@ impl Default for ServeConfig {
             inject_panic_seed: None,
             flight_capacity: 256,
             flight_dump_dir: None,
+            trace: None,
         }
     }
 }
@@ -305,16 +313,16 @@ impl Inner {
             let _ = self.flight.dump_to(&dir.join(file), cause);
         }
     }
-    /// One worker's life on `shard`: take a due batch (home first,
-    /// then steal), execute it, respond; park until a deadline or a
-    /// submit otherwise. Exits only when the set is closed *and*
-    /// every shard's queue is drained.
+    /// One worker's life on `shard`: take whatever is queued (home
+    /// first, then steal), execute it, respond; park until a submit
+    /// when every queue it may look at is empty. Exits only when the
+    /// set is closed *and* every shard's queue is drained.
     fn worker_loop(&self, shard: usize) {
         loop {
             if self.shards.is_closed() {
-                // Drain phase: release leftover batches regardless of
-                // deadlines, from any shard, until nothing is queued
-                // (see `ShardSet::submit` for why none is left behind).
+                // Drain phase: release leftover batches from any shard,
+                // stealing or not, until nothing is queued (see
+                // `ShardSet::submit` for why none is left behind).
                 match self.shards.drain_one(shard, self.clock.now()) {
                     Some((batch, from)) => self.execute(shard, from, batch),
                     None => return,
@@ -322,12 +330,13 @@ impl Inner {
                 continue;
             }
             let now = self.clock.now();
-            // Cap the park so a shutdown flag or a virtual clock
-            // advance is noticed promptly even without a matching
-            // notify.
-            match self.shards.poll_or_park(shard, now, Duration::from_millis(50)) {
-                ShardPoll::Ready { batch, from } => self.execute(shard, from, batch),
-                ShardPoll::Wait(_) => {} // parked; loop with fresh now
+            // Cap the park: a submit to another shard that lands
+            // between this worker's steal scan and its park wakes it
+            // no later than the cap.
+            if let ShardPoll::Ready { batch, from } =
+                self.shards.poll_or_park(shard, now, Duration::from_millis(50))
+            {
+                self.execute(shard, from, batch);
             }
         }
     }
@@ -429,10 +438,7 @@ impl Server {
 
     /// Starts the worker groups on an explicit clock — a
     /// [`VirtualClock`](crate::VirtualClock) makes latency accounting
-    /// deterministic in tests. Note that with a clock nobody advances,
-    /// a *partial* batch never comes due: pair a frozen clock with
-    /// `max_wait == 0` (or always-full batches), or advance the clock
-    /// from the test. Fully deterministic batching tests should drive
+    /// deterministic in tests. Fully deterministic batching tests drive
     /// [`DynamicBatcher`](crate::DynamicBatcher) or
     /// [`ShardSet`] directly instead of a threaded server.
     pub fn with_clock(
@@ -462,10 +468,13 @@ impl Server {
         // The black box: one bounded event ring per shard, always on.
         let flight = Arc::new(FlightRecorder::new(shard_count, config.flight_capacity.max(1)));
         let names = registries[0].entries().iter().map(|e| e.id().to_string()).collect();
-        let shards = ShardSet::new(shard_count, caps, config.batch, config.steal)
+        let mut shards = ShardSet::new(shard_count, caps, config.batch, config.steal)
             .with_model_names(names)
             .with_slo(config.slo)
             .with_flight(Arc::clone(&flight));
+        if let Some(trace) = config.trace {
+            shards = shards.with_trace(trace);
+        }
         let inner = Arc::new(Inner {
             registries,
             clock,
@@ -614,6 +623,27 @@ mod tests {
         registry
     }
 
+    /// `registry` plus a `slow` model: one `slow` request keeps a
+    /// worker busy for milliseconds, so other requests queue behind it.
+    fn with_blocker(mut registry: ModelRegistry) -> ModelRegistry {
+        let mut wl = Workload::new("slow", 1);
+        wl.push("a", "G", ConvShape::same_padded(32, 32, 24, 24, 3));
+        let schedule = Schedule::homogeneous(&wl, 2).unwrap();
+        registry.register("slow", wl, schedule, ExecConfig::with_threads(1), 3).unwrap();
+        registry
+    }
+
+    /// Submits one `slow` request and returns once a worker has taken
+    /// it: until that request finishes, a one-worker server releases
+    /// nothing else.
+    fn occupy_the_worker(server: &Server) -> ResponseHandle {
+        let handle = server.submit(&"slow".into(), Priority::Normal, 0).expect("admitted");
+        while server.queued() > 0 {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
     fn quick_config() -> ServeConfig {
         ServeConfig {
             workers: 2,
@@ -673,11 +703,9 @@ mod tests {
     #[test]
     fn every_admitted_request_is_answered_even_through_shutdown() {
         let server = Server::start(
-            tiny_registry(4),
+            with_blocker(tiny_registry(4)),
             ServeConfig {
                 workers: 1,
-                // An hour-long max_wait: only shutdown's drain (or a
-                // full batch) can release these.
                 batch: BatchConfig {
                     max_batch: 64,
                     max_wait: Duration::from_secs(3600),
@@ -686,15 +714,46 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
+        // The one worker is busy, so the five are still queued when
+        // shutdown begins: its drain serves them.
+        let blocker = occupy_the_worker(&server);
         let handles: Vec<_> = (0..5u64)
             .map(|seed| server.submit(&"toy".into(), Priority::Normal, seed).expect("admitted"))
             .collect();
         let snap = server.shutdown();
-        assert_eq!(snap.total_completed(), 5, "drain served everything");
+        assert_eq!(snap.total_completed(), 6, "drain served everything");
+        blocker.try_take().expect("resolved").expect("served");
         for (seed, h) in handles.iter().enumerate() {
             let result = h.try_take().expect("resolved").expect("served");
             assert_eq!(result.seed, seed as u64);
         }
+    }
+
+    #[test]
+    fn a_submit_wakes_an_idle_worker_of_another_shard() {
+        // Two shards of one worker, stealing on. While one worker runs
+        // the slow request, each toy request is taken at once by the
+        // other, parked worker — whichever shard the toy lives on —
+        // rather than when its park times out (50 ms).
+        let server = Server::start(
+            with_blocker(two_model_registry(4)),
+            ServeConfig {
+                shards: 2,
+                workers: 1,
+                exec_threads_per_worker: Some(1),
+                ..quick_config()
+            },
+        );
+        let blocker = occupy_the_worker(&server);
+        for model in ["toy-a", "toy-b"] {
+            // Let the idle worker park first: the submit must wake it.
+            std::thread::sleep(Duration::from_millis(2));
+            let handle = server.submit(&model.into(), Priority::Normal, 1).expect("admitted");
+            let result = handle.wait().expect("served");
+            assert!(result.queue_wait < Duration::from_millis(25), "{model}: {result:?}");
+        }
+        assert!(blocker.try_take().is_none(), "both toys were served while the blocker ran");
+        assert!(server.shutdown().total_stolen() >= 1, "one toy lives on the busy shard");
     }
 
     #[test]
@@ -710,13 +769,12 @@ mod tests {
 
     #[test]
     fn bounded_queue_backpressure_reaches_the_submitter() {
-        // One worker, glacial batching, capacity 2: the third
+        // One worker, busy with a slow request, capacity 2: the third
         // outstanding submit must see QueueFull. The model's batch
-        // dimension (64) must exceed the queue capacity, else two
-        // queued requests make a full batch the worker may release
-        // between the second and third submits.
+        // dimension (64) exceeds the queue capacity, so the queue is
+        // full at two, not a batch.
         let server = Server::start(
-            tiny_registry(64),
+            with_blocker(tiny_registry(64)),
             ServeConfig {
                 workers: 1,
                 batch: BatchConfig {
@@ -727,12 +785,13 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
+        let _blocker = occupy_the_worker(&server);
         let _a = server.submit(&"toy".into(), Priority::Normal, 1).expect("admitted");
         let _b = server.submit(&"toy".into(), Priority::Normal, 2).expect("admitted");
         let err = server.submit(&"toy".into(), Priority::Normal, 3).unwrap_err();
         assert!(matches!(err, AdmissionError::QueueFull { .. }), "{err}");
         let snap = server.shutdown();
-        assert_eq!(snap.total_completed(), 2);
+        assert_eq!(snap.total_completed(), 3);
         assert_eq!(snap.total_rejected(), 1);
     }
 
@@ -790,8 +849,6 @@ mod tests {
     fn virtual_clock_latency_accounting_is_deterministic() {
         // With a frozen virtual clock every duration the server can
         // measure is exactly zero — queue wait, latency, percentiles.
-        // max_wait must be zero: frozen time means a partial batch
-        // would otherwise never come due.
         let clock = Arc::new(VirtualClock::new());
         let config = ServeConfig {
             workers: 1,

@@ -59,16 +59,15 @@ pub enum ShardPoll<T> {
         /// The shard whose queue released it.
         from: usize,
     },
-    /// Nothing is due on the polled shard (or, with stealing, on any
-    /// shard). The payload is the earliest deadline at which queued
-    /// work becomes due — across every shard the poll was allowed to
-    /// look at — or `None` when all of them are empty.
-    Wait(Option<Duration>),
+    /// Every queue the poll was allowed to look at is empty: the polled
+    /// shard's, and with stealing every other shard's too.
+    Wait,
 }
 
 struct Shard<T> {
     queue: Mutex<DynamicBatcher<T>>,
-    /// Signaled on submits routed to this shard and on shutdown.
+    /// Signaled on submits routed to this shard (to every shard when
+    /// stealing is on) and on shutdown.
     wake: Condvar,
 }
 
@@ -228,7 +227,11 @@ impl<T> ShardSet<T> {
                     ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home as u32 }),
                 );
                 drop(queue);
-                self.shards[home].wake.notify_one();
+                // With stealing, an idle worker of any shard may take it.
+                let woken = if self.steal { 0..self.shards.len() } else { home..home + 1 };
+                for shard in &self.shards[woken] {
+                    shard.wake.notify_one();
+                }
             }
             Err(SubmitError::Closed) => {}
             Err(SubmitError::QueueFull { .. } | SubmitError::SloUnattainable { .. }) => {
@@ -328,79 +331,59 @@ impl<T> ShardSet<T> {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Polls `shard` for a due batch at `now`; with stealing enabled
-    /// and the home queue quiet, scans the other shards (in
-    /// `shard+1, shard+2, …` wraparound order, deterministically) and
-    /// takes the first due batch found there. Never blocks — the
-    /// deterministic entry point the proptests replay schedules
-    /// through.
+    /// Polls `shard` at `now`; with stealing enabled and the home queue
+    /// empty, polls the other shards (in `shard+1, shard+2, …`
+    /// wraparound order, deterministically) and takes the first batch
+    /// found there. Every poll releases whatever is queued (see the
+    /// batcher's release policy). Never blocks — the deterministic
+    /// entry point the proptests replay schedules through.
     pub fn poll_at(&self, shard: usize, now: Duration) -> ShardPoll<T> {
-        let mut hint = match self.lock(shard).poll(now) {
-            Poll::Ready(batch) => {
-                self.trace_dispatch(&batch, shard, shard, now);
-                return ShardPoll::Ready { batch, from: shard };
-            }
-            Poll::Wait(hint) => hint,
-        };
-        if self.steal {
-            let count = self.shards.len();
-            for step in 1..count {
-                let other = (shard + step) % count;
-                match self.lock(other).poll(now) {
-                    Poll::Ready(batch) => {
-                        self.trace_dispatch(&batch, other, shard, now);
-                        return ShardPoll::Ready { batch, from: other };
-                    }
-                    Poll::Wait(other_hint) => {
-                        if let Some(d) = other_hint {
-                            hint = Some(hint.map_or(d, |h: Duration| h.min(d)));
-                        }
-                    }
-                }
-            }
-        }
-        ShardPoll::Wait(hint)
+        let reach = if self.steal { self.shards.len() } else { 1 };
+        self.take(shard, reach, now)
+            .map_or(ShardPoll::Wait, |(batch, from)| ShardPoll::Ready { batch, from })
     }
 
-    /// [`poll_at`](Self::poll_at), then — when nothing is due anywhere
-    /// it may look — parks on `shard`'s condvar until the earliest
-    /// known deadline, a submit notification, or `cap`, whichever is
-    /// first. The home queue is re-polled *under the lock* before
-    /// parking, closing the race where a submit lands (and notifies)
-    /// between the steal scan and the park. Returns `Wait` after
-    /// waking; callers loop with a fresh `now`.
+    /// Polls the `reach` shards from `shard` on, in ring order, for a
+    /// worker of `shard`, and traces the first batch released. Returns
+    /// it with the shard that released it.
+    fn take(&self, shard: usize, reach: usize, now: Duration) -> Option<(Batch<T>, usize)> {
+        (0..reach).map(|step| (shard + step) % self.shards.len()).find_map(|from| {
+            let Poll::Ready(batch) = self.lock(from).poll(now) else { return None };
+            self.trace_dispatch(&batch, from, shard, now);
+            Some((batch, from))
+        })
+    }
+
+    /// [`poll_at`](Self::poll_at), then — when every queue it may look
+    /// at is empty — parks on `shard`'s condvar until a submit's
+    /// notification or `cap`, whichever is first. The home queue is
+    /// re-polled *under the lock* before parking, closing the race
+    /// where a submit lands (and notifies) between the steal scan and
+    /// the park. Returns `Wait` after waking; callers loop with a fresh
+    /// `now`.
     pub fn poll_or_park(&self, shard: usize, now: Duration, cap: Duration) -> ShardPoll<T> {
-        let hint = match self.poll_at(shard, now) {
-            ready @ ShardPoll::Ready { .. } => return ready,
-            ShardPoll::Wait(hint) => hint,
-        };
+        if let ready @ ShardPoll::Ready { .. } = self.poll_at(shard, now) {
+            return ready;
+        }
         let mut guard = self.lock(shard);
         if let Poll::Ready(batch) = guard.poll(now) {
             drop(guard);
             self.trace_dispatch(&batch, shard, shard, now);
             return ShardPoll::Ready { batch, from: shard };
         }
-        let timeout = hint.map(|d| d.saturating_sub(now)).unwrap_or(cap).min(cap);
-        let _unparked = self.shards[shard]
-            .wake
-            .wait_timeout(guard, timeout.max(Duration::from_micros(100)))
-            .expect("shard lock");
-        ShardPoll::Wait(hint)
+        let _unparked = self.shards[shard].wake.wait_timeout(guard, cap).expect("shard lock");
+        ShardPoll::Wait
     }
 
-    /// Releases one batch regardless of deadlines for a worker of
-    /// `shard` — the shutdown drain loop's step — looking at `shard`
-    /// first, then the others in ring order. Returns the batch and the
-    /// shard that released it; one from another shard is traced
-    /// `Stolen`. Returns `None` only when every shard is empty, having
-    /// taken every shard's lock (see [`submit`](Self::submit)).
+    /// Releases one batch for a worker of `shard` by the same rule as
+    /// every poll — the shutdown drain loop's step — looking at `shard`
+    /// first, then the others in ring order, stealing or not. Returns
+    /// the batch and the shard that released it; one from another
+    /// shard is traced `Stolen`. Returns `None` only when every shard
+    /// is empty, having taken every shard's lock (see
+    /// [`submit`](Self::submit)).
     pub fn drain_one(&self, shard: usize, now: Duration) -> Option<(Batch<T>, usize)> {
-        let count = self.shards.len();
-        (0..count).map(|step| (shard + step) % count).find_map(|from| {
-            let batch = self.lock(from).pop_any()?;
-            self.trace_dispatch(&batch, from, shard, now);
-            Some((batch, from))
-        })
+        self.take(shard, self.shards.len(), now)
     }
 
     /// Requests queued across every shard.
@@ -492,24 +475,28 @@ mod tests {
         for i in 0..4u64 {
             s.submit(1, Priority::Normal, i, at(0)).unwrap();
         }
-        assert!(matches!(s.poll_at(0, at(0)), ShardPoll::Wait(None)));
+        assert!(matches!(s.poll_at(0, at(0)), ShardPoll::Wait));
         // The home shard still releases it.
         assert!(matches!(s.poll_at(1, at(0)), ShardPoll::Ready { from: 1, .. }));
     }
 
     #[test]
-    fn wait_hint_covers_stealable_deadlines() {
+    fn an_idle_shard_steals_a_lone_remote_request() {
         let s = set(true);
-        // A lone request on shard 2, due at 3 + 5 = 8 ms.
-        s.submit(2, Priority::Normal, 9, at(3)).unwrap();
+        // A lone request on shard 2, neither full nor due (8 ms).
+        let seq = s.submit(2, Priority::Normal, 9, at(3)).unwrap();
         match s.poll_at(0, at(4)) {
-            ShardPoll::Wait(Some(deadline)) => assert_eq!(deadline, at(8)),
-            other => panic!("expected a deadline hint, got {other:?}"),
+            ShardPoll::Ready { batch, from } => {
+                assert_eq!((from, batch.model, batch.requests[0].seq), (2, 2, seq));
+            }
+            other => panic!("expected a steal, got {other:?}"),
         }
-        // Without stealing, shard 0 knows nothing about shard 2.
+        assert!(matches!(s.poll_at(0, at(4)), ShardPoll::Wait));
+        // Without stealing, shard 0 leaves it to its home shard.
         let s = set(false);
         s.submit(2, Priority::Normal, 9, at(3)).unwrap();
-        assert!(matches!(s.poll_at(0, at(4)), ShardPoll::Wait(None)));
+        assert!(matches!(s.poll_at(0, at(4)), ShardPoll::Wait));
+        assert!(matches!(s.poll_at(2, at(4)), ShardPoll::Ready { from: 2, .. }));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::time::Duration;
 use wino_core::{ConvShape, Workload};
 use wino_exec::{ExecConfig, Schedule};
-use wino_serve::{BatchConfig, ModelRegistry, Priority, ServeConfig, Server};
+use wino_serve::{BatchConfig, ModelRegistry, Priority, ResponseHandle, ServeConfig, Server};
 
 fn toy_registry(max_batch: usize) -> ModelRegistry {
     let mut wl = Workload::new("toy", max_batch);
@@ -17,6 +17,28 @@ fn toy_registry(max_batch: usize) -> ModelRegistry {
     let mut registry = ModelRegistry::new();
     registry.register("toy", wl, schedule, ExecConfig::with_threads(1), 3).unwrap();
     registry
+}
+
+/// [`toy_registry`] plus a `slow` model: one `slow` request keeps a
+/// worker busy for milliseconds, so `toy` requests queue behind it.
+fn registry_with_blocker(max_batch: usize) -> ModelRegistry {
+    let mut registry = toy_registry(max_batch);
+    let mut wl = Workload::new("slow", 1);
+    wl.push("a", "G", ConvShape::same_padded(32, 32, 24, 24, 3));
+    let schedule = Schedule::homogeneous(&wl, 2).unwrap();
+    registry.register("slow", wl, schedule, ExecConfig::with_threads(1), 3).unwrap();
+    registry
+}
+
+/// Submits one `slow` request and returns once a worker has taken it:
+/// until that request finishes, a one-worker server releases nothing
+/// else, so the requests submitted meanwhile leave as one batch.
+fn occupy_the_worker(server: &Server) -> ResponseHandle {
+    let handle = server.submit(&"slow".into(), Priority::Normal, 0).expect("admitted");
+    while server.queued() > 0 {
+        std::thread::yield_now();
+    }
+    handle
 }
 
 const POISON: u64 = 666;
@@ -80,12 +102,10 @@ fn mid_batch_panic_resolves_every_admitted_request() {
 #[test]
 fn shutdown_drains_and_joins_cleanly_after_a_fault() {
     let server = Server::start(
-        toy_registry(8),
+        registry_with_blocker(8),
         ServeConfig {
             workers: 1,
             inject_panic_seed: Some(POISON),
-            // An hour-long max_wait: nothing releases until shutdown's
-            // drain, so the fault fires on the drain path itself.
             batch: BatchConfig {
                 max_batch: 64,
                 max_wait: Duration::from_secs(3600),
@@ -94,12 +114,15 @@ fn shutdown_drains_and_joins_cleanly_after_a_fault() {
             ..ServeConfig::default()
         },
     );
+    // The one worker is busy: nothing else releases until shutdown's
+    // drain, so the fault fires on the drain path itself.
+    let _blocker = occupy_the_worker(&server);
     let handles: Vec<_> = [7u64, POISON, 9]
         .iter()
         .map(|&seed| server.submit(&"toy".into(), Priority::Normal, seed).expect("admitted"))
         .collect();
     let snap = server.shutdown(); // must return: drain + join, no hang
-    assert_eq!(snap.total_completed() + snap.total_failed(), 3);
+    assert_eq!(snap.total_completed() + snap.total_failed(), 4);
     assert_eq!(snap.total_failed(), 1);
     let resolved: Vec<_> = handles.iter().map(|h| h.try_take().expect("resolved")).collect();
     assert!(resolved[0].is_ok() && resolved[2].is_ok());
@@ -158,12 +181,10 @@ fn fault_leaves_a_black_box_dump_behind() {
 #[test]
 fn solo_retries_are_answered_and_booked_as_batches_of_one() {
     let server = Server::start(
-        toy_registry(8),
+        registry_with_blocker(8),
         ServeConfig {
             workers: 1,
             inject_panic_seed: Some(POISON),
-            // An hour-long max_wait: only a full batch of four
-            // releases, so all four requests share the faulted batch.
             batch: BatchConfig {
                 max_batch: 4,
                 max_wait: Duration::from_secs(3600),
@@ -172,6 +193,8 @@ fn solo_retries_are_answered_and_booked_as_batches_of_one() {
             ..ServeConfig::default()
         },
     );
+    // The four queue behind the blocker and leave as one full batch.
+    let blocker = occupy_the_worker(&server);
     let seeds = [1u64, POISON, 2, 3];
     let handles: Vec<_> = seeds
         .iter()
@@ -183,10 +206,11 @@ fn solo_retries_are_answered_and_booked_as_batches_of_one() {
             Err(err) => assert_eq!(err.seed, POISON),
         }
     }
+    assert_eq!(blocker.wait().expect("served").batch_size, 1);
     let snap = server.shutdown();
-    assert_eq!(snap.total_completed(), 3);
+    assert_eq!(snap.total_completed(), 3 + 1);
     assert_eq!(snap.total_failed(), 1);
-    assert_eq!(snap.per_shard[0].batches, 3, "one batch per solo retry");
+    assert_eq!(snap.per_shard[0].batches, 3 + 1, "one batch per solo retry, plus the blocker");
     assert_eq!(snap.per_model[0].batches, 3);
     assert_eq!(snap.per_model[0].mean_batch, 1.0);
 }

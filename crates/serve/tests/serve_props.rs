@@ -12,12 +12,18 @@
 //!    `(model, class)` pair leave the batcher in exactly their
 //!    submission order, whatever interleaving of submissions, models,
 //!    classes and polls happens around them.
+//!
+//! A third pins the release policy: dispatch is **work-conserving** —
+//! a poll that can see queued work always releases some of it.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use wino_core::{ConvShape, Workload};
 use wino_exec::{ExecConfig, Schedule};
-use wino_serve::{BatchConfig, Clock, DynamicBatcher, ModelEntry, Poll, Priority, VirtualClock};
+use wino_serve::{
+    Batch, BatchConfig, Clock, DynamicBatcher, ModelEntry, Poll, Priority, ShardPoll, ShardSet,
+    VirtualClock,
+};
 
 /// A two-layer toy model (one Winograd, one strided-spatial layer) with
 /// batch dimension `max_batch` — small enough that a proptest case
@@ -181,6 +187,70 @@ proptest! {
                     model,
                     class
                 );
+            }
+        }
+    }
+
+    /// Work conservation over a stealing shard set: along any arrival
+    /// schedule, with any number of polls between arrivals, a poll of a
+    /// non-empty set never returns `Wait` (and one of an empty set never
+    /// returns a batch). FIFO within every (model, class) and served ==
+    /// solo, bitwise, hold for the batches that result.
+    #[test]
+    fn a_poll_of_a_non_empty_set_never_waits(
+        shard_count in 1usize..4,
+        all_arrivals in prop::collection::vec((0usize..3, 0u8..3, 0u64..1_000, 0u64..300), 24),
+        count in 1usize..25,
+        polls_after in prop::collection::vec(0usize..3, 24),
+        max_batch in 1usize..5,
+        max_wait_us in 0u64..300,
+    ) {
+        let arrivals = &all_arrivals[..count];
+        let entry = toy_entry(4);
+        let clock = VirtualClock::new();
+        let config = BatchConfig {
+            max_batch,
+            max_wait: Duration::from_micros(max_wait_us),
+            queue_capacity: arrivals.len(),
+        };
+        let set: ShardSet<u64> = ShardSet::new(shard_count, vec![4, 3, 2], config, true);
+        let mut expected: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); 3]; 3];
+        let mut batches: Vec<Batch<u64>> = Vec::new();
+        let poll = |shard: usize, batches: &mut Vec<Batch<u64>>| -> Result<bool, TestCaseError> {
+            let queued = !set.is_empty();
+            match set.poll_at(shard % shard_count, clock.now()) {
+                ShardPoll::Ready { batch, .. } => {
+                    prop_assert!(queued, "released a batch from an empty set");
+                    batches.push(batch);
+                    Ok(true)
+                }
+                ShardPoll::Wait => {
+                    prop_assert!(!queued, "an idle poll waited beside queued work");
+                    Ok(false)
+                }
+            }
+        };
+        for (i, &(model, tag, seed, gap_us)) in arrivals.iter().enumerate() {
+            clock.advance(Duration::from_micros(gap_us));
+            let seq = set.submit(model, priority_of(tag), seed, clock.now()).unwrap();
+            expected[model][priority_of(tag).index()].push(seq);
+            for _ in 0..polls_after[i] {
+                poll(i, &mut batches)?;
+            }
+        }
+        while poll(0, &mut batches)? {}
+
+        let mut released: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); 3]; 3];
+        for batch in &batches {
+            for item in &batch.requests {
+                released[batch.model][item.priority.index()].push(item.seq);
+            }
+        }
+        prop_assert_eq!(released, expected, "a (model, class) queue was reordered");
+        for batch in &batches {
+            let seeds: Vec<u64> = batch.requests.iter().map(|r| r.payload).collect();
+            for (&seed, got) in seeds.iter().zip(&entry.infer_batch(&seeds)) {
+                prop_assert!(got == &entry.infer_one(seed), "seed {} diverged in {:?}", seed, seeds);
             }
         }
     }
