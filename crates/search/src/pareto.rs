@@ -63,6 +63,12 @@ impl ParetoArchive {
     /// assert_eq!(archive.len(), 2);
     /// ```
     pub fn insert(&mut self, genome: Genome, evaluation: Evaluation) -> bool {
+        self.offer(&genome, evaluation)
+    }
+
+    /// [`ParetoArchive::insert`] for a borrowed genome, copied only when
+    /// the design is retained.
+    pub(crate) fn offer(&mut self, genome: &[usize], evaluation: Evaluation) -> bool {
         if !evaluation.feasible {
             return false;
         }
@@ -75,7 +81,7 @@ impl ParetoArchive {
             return false;
         }
         self.entries.retain(|e| !evaluation.dominates(&e.evaluation));
-        self.entries.push(ArchiveEntry { genome, evaluation });
+        self.entries.push(ArchiveEntry { genome: genome.to_vec(), evaluation });
         true
     }
 

@@ -5,7 +5,12 @@
 //! dimension. Encoding candidates as small integer vectors gives every
 //! strategy (exhaustive enumeration, hill climbing, annealing, genetic
 //! operators) a uniform representation and gives the
-//! [`crate::EvalCache`] a cheap hashable key.
+//! [`crate::EvalCache`] a compact key: the genome's mixed-radix index
+//! (the inverse of [`SearchSpace::genome_at`]).
+//!
+//! The heterogeneous space's cost is separable over layers, so it costs
+//! every engine context it can reach once, into a table built with the
+//! space, and evaluates a genome by one table lookup per layer.
 
 use crate::{resource_headroom, Evaluation};
 use std::collections::HashMap;
@@ -201,6 +206,29 @@ pub struct LayerDesign {
     pub latency_ms: f64,
 }
 
+/// One engine context of the table: what a layer costs under one
+/// (algorithm, allocation) choice.
+#[derive(Debug, Clone, Copy)]
+struct Context {
+    algo: AlgorithmChoice,
+    pe_count: usize,
+    latency_ms: f64,
+    usage: ResourceUsage,
+    /// `PowerModel::power_w` of `usage` at the space's clock.
+    power_w: f64,
+}
+
+/// One workload layer's row of the table; `None` marks a choice that
+/// cannot run the layer.
+#[derive(Debug, Clone)]
+enum LayerContexts {
+    /// An ineligible layer's spatial fallback on the full budget.
+    Fixed(Option<Context>),
+    /// An eligible layer's contexts, indexed by
+    /// `algorithm index × allocation count + allocation index`.
+    Chosen(Vec<Option<Context>>),
+}
+
 /// The heterogeneous per-layer space: every Winograd-eligible layer
 /// picks its own algorithm — an output-tile size `m` from `m_choices`
 /// or (when [`HeterogeneousSpace::with_fft_sizes`] widens the space) an
@@ -214,6 +242,12 @@ pub struct LayerDesign {
 /// time-weighted average over contexts. Choosing the same `m` and full
 /// allocation everywhere degenerates to the paper's homogeneous design,
 /// so the heterogeneous optimum can never be worse than the paper's.
+///
+/// A genome's cost is separable: a sum of per-layer latency and energy
+/// and a max of per-layer fabric. So the space tabulates every engine
+/// context it can reach — each eligible layer × algorithm × allocation,
+/// and each fixed fallback layer — once, when it is built, and
+/// [`SearchSpace::evaluate`] is one table lookup per layer.
 pub struct HeterogeneousSpace {
     workload: Workload,
     device: FpgaDevice,
@@ -225,12 +259,15 @@ pub struct HeterogeneousSpace {
     mult_budget: usize,
     freq_hz: f64,
     pipeline_depth: usize,
-    /// Indices into `workload.layers()` of Winograd-eligible layers.
-    eligible: Vec<usize>,
-    /// Pre-generated resource estimators per `(m, r)`; `None` when the
-    /// transform is out of range.
-    engines: HashMap<(usize, usize), Option<EngineResources>>,
+    /// Number of Winograd-eligible layers (one genome slot each).
+    eligible: usize,
+    /// One row per workload layer, in layer order.
+    table: Vec<LayerContexts>,
 }
+
+/// Resource estimators per `(m, r)`, generated once per table build;
+/// `None` when the transform is out of range.
+type Engines = HashMap<(usize, usize), Option<EngineResources>>;
 
 impl HeterogeneousSpace {
     /// Builds the space from an existing [`Evaluator`] (workload,
@@ -238,8 +275,9 @@ impl HeterogeneousSpace {
     /// per-layer tile choices `m_choices` and PE-allocation fractions
     /// `alloc_choices` under `mult_budget` multipliers at `freq_hz`.
     ///
-    /// Transform sets for every `(m, r)` pair the space can reach are
-    /// generated once here, so per-candidate evaluation stays cheap.
+    /// Every engine context the space can reach is costed once here
+    /// (transforms, resource estimate, latency and power), so evaluating
+    /// a candidate is a table lookup per layer.
     ///
     /// # Panics
     ///
@@ -259,29 +297,7 @@ impl HeterogeneousSpace {
             "allocation fractions must lie in (0, 1]"
         );
         let workload = evaluator.workload().clone();
-        let eligible: Vec<usize> = workload
-            .layers()
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.shape.winograd_compatible())
-            .map(|(i, _)| i)
-            .collect();
-
-        let mut engines = HashMap::new();
-        for layer in workload.layers() {
-            let r = layer.shape.r;
-            // Candidate engines for eligible layers...
-            for &m in &m_choices {
-                engines.entry((m, r)).or_insert_with(|| {
-                    WinogradParams::new(m, r).ok().and_then(|p| EngineResources::new(p).ok())
-                });
-            }
-            // ...and the spatial fallback for every kernel size present.
-            engines.entry((1, r)).or_insert_with(|| {
-                WinogradParams::new(1, r).ok().and_then(|p| EngineResources::new(p).ok())
-            });
-        }
-
+        let eligible = workload.layers().iter().filter(|l| l.shape.winograd_compatible()).count();
         HeterogeneousSpace {
             workload,
             device: evaluator.device().clone(),
@@ -294,15 +310,16 @@ impl HeterogeneousSpace {
             freq_hz,
             pipeline_depth: 8,
             eligible,
-            engines,
+            table: Vec::new(),
         }
+        .tabulated()
     }
 
     /// Overrides the pipeline depth `D_p` (default 8, as in the paper's
     /// engine).
     pub fn with_pipeline_depth(mut self, depth: usize) -> HeterogeneousSpace {
         self.pipeline_depth = depth;
-        self
+        self.tabulated()
     }
 
     /// Widens every eligible layer's algorithm dimension with
@@ -324,7 +341,7 @@ impl HeterogeneousSpace {
             "FFT sizes must be powers of two >= 4"
         );
         self.fft_choices = sizes;
-        self
+        self.tabulated()
     }
 
     /// The workload being mapped.
@@ -335,7 +352,7 @@ impl HeterogeneousSpace {
     /// Number of Winograd-eligible layers (two decision dimensions
     /// each).
     pub fn eligible_layers(&self) -> usize {
-        self.eligible.len()
+        self.eligible
     }
 
     /// The genome selecting tile choice `m_index` and allocation
@@ -351,45 +368,87 @@ impl HeterogeneousSpace {
         (0..self.dims()).map(|d| if d % 2 == 0 { m_index } else { alloc_index }).collect()
     }
 
-    /// Raw (algorithm-choice index, allocation fraction) of one
-    /// eligible-layer slot.
-    fn slot(&self, genome: &[usize], slot: usize) -> (usize, f64) {
-        (genome[2 * slot], self.alloc_choices[genome[2 * slot + 1]])
+    /// This space with its table (re)built from the current choices.
+    fn tabulated(mut self) -> HeterogeneousSpace {
+        let mut engines = Engines::new();
+        self.table = self
+            .workload
+            .layers()
+            .iter()
+            .map(|layer| {
+                let shape = &layer.shape;
+                if !shape.winograd_compatible() {
+                    // Ineligible layers always run the spatial fallback
+                    // (the m = 1 engine) on the full budget.
+                    return LayerContexts::Fixed(self.winograd_context(
+                        &mut engines,
+                        1,
+                        shape,
+                        self.mult_budget,
+                    ));
+                }
+                let algos = self.m_choices.len() + self.fft_choices.len();
+                let mut row = Vec::with_capacity(algos * self.alloc_choices.len());
+                for idx in 0..algos {
+                    for &frac in &self.alloc_choices {
+                        let budget = (self.mult_budget as f64 * frac) as usize;
+                        row.push(match self.m_choices.get(idx) {
+                            Some(&m) => self.winograd_context(&mut engines, m, shape, budget),
+                            None => self.fft_context(
+                                self.fft_choices[idx - self.m_choices.len()],
+                                shape,
+                                budget,
+                            ),
+                        });
+                    }
+                }
+                LayerContexts::Chosen(row)
+            })
+            .collect();
+        self
     }
 
-    /// One eligible layer's design under algorithm-choice index `idx`
-    /// with `budget` multipliers: indices below `m_choices.len()` pick
-    /// a Winograd tile (with `m = 1` the spatial engine, as before),
-    /// the rest pick an FFT size. `None` when the choice cannot run the
-    /// layer (out-of-range transform, `N < r`, or an empty context).
-    fn decode_algo(
+    /// One layer's `F(m×m, r×r)` context with `budget` multipliers
+    /// (`m = 1` is the spatial engine). `None` when the transform is
+    /// out of range or the budget packs no PE.
+    fn winograd_context(
         &self,
-        idx: usize,
+        engines: &mut Engines,
+        m: usize,
         shape: &wino_core::ConvShape,
         budget: usize,
-    ) -> Option<(AlgorithmChoice, usize, f64)> {
-        let batch = self.workload.batch();
-        if let Some(&m) = self.m_choices.get(idx) {
-            let params = WinogradParams::new(m, shape.r).ok()?;
-            self.engines.get(&(m, shape.r))?.as_ref()?;
-            let pe = pe_count(budget, params);
-            if pe == 0 {
-                return None;
-            }
-            let latency_s = latency_seconds(
-                batch,
-                shape,
-                params,
-                pe as f64,
-                self.pipeline_depth,
-                self.freq_hz,
-                self.tiles,
-            );
-            let algo =
-                if m == 1 { AlgorithmChoice::Spatial } else { AlgorithmChoice::Winograd(params) };
-            return Some((algo, pe, latency_s));
+    ) -> Option<Context> {
+        let params = WinogradParams::new(m, shape.r).ok()?;
+        let engine = engines
+            .entry((m, shape.r))
+            .or_insert_with(|| EngineResources::new(params).ok())
+            .as_ref()?;
+        let pe = pe_count(budget, params);
+        if pe == 0 {
+            return None;
         }
-        let n = *self.fft_choices.get(idx - self.m_choices.len())?;
+        let latency_s = latency_seconds(
+            self.workload.batch(),
+            shape,
+            params,
+            pe as f64,
+            self.pipeline_depth,
+            self.freq_hz,
+            self.tiles,
+        );
+        let algo =
+            if m == 1 { AlgorithmChoice::Spatial } else { AlgorithmChoice::Winograd(params) };
+        Some(self.context(algo, pe, latency_s, engine.estimate(Architecture::SharedTransform, pe)))
+    }
+
+    /// One layer's `FFT(n)` context with `budget` multipliers. `None`
+    /// when `n` is below the kernel size or the budget packs no PE.
+    fn fft_context(
+        &self,
+        n: usize,
+        shape: &wino_core::ConvShape,
+        budget: usize,
+    ) -> Option<Context> {
         if n < shape.r {
             return None;
         }
@@ -400,85 +459,75 @@ impl HeterogeneousSpace {
             return None;
         }
         let latency_s = fft_context_latency_seconds(
-            batch,
+            self.workload.batch(),
             shape,
             n,
             (pe * 4) as f64,
             self.pipeline_depth,
             self.freq_hz,
         );
-        Some((AlgorithmChoice::Fft { n }, pe, latency_s))
+        Some(self.context(
+            AlgorithmChoice::Fft { n },
+            pe,
+            latency_s,
+            fft_engine(n, (pe * 4) as u64),
+        ))
+    }
+
+    fn context(
+        &self,
+        algo: AlgorithmChoice,
+        pe_count: usize,
+        latency_s: f64,
+        usage: ResourceUsage,
+    ) -> Context {
+        Context {
+            algo,
+            pe_count,
+            latency_ms: latency_s * 1e3,
+            usage,
+            power_w: self.power.power_w(&usage, self.freq_hz),
+        }
+    }
+
+    /// Each layer's tabulated context under `genome`, in layer order
+    /// (`None` for a choice that cannot run its layer), or `None` when
+    /// the genome has the wrong length or an out-of-range choice.
+    fn contexts<'a>(
+        &'a self,
+        genome: &'a [usize],
+    ) -> Option<impl Iterator<Item = Option<&'a Context>> + 'a> {
+        if genome.len() != self.dims()
+            || genome.iter().enumerate().any(|(d, &g)| g >= self.cardinality(d))
+        {
+            return None;
+        }
+        let allocs = self.alloc_choices.len();
+        let mut slots = genome.chunks_exact(2);
+        Some(self.table.iter().map(move |row| match row {
+            LayerContexts::Fixed(context) => context.as_ref(),
+            LayerContexts::Chosen(row) => {
+                let slot = slots.next().expect("one genome slot per eligible layer");
+                row[slot[0] * allocs + slot[1]].as_ref()
+            }
+        }))
     }
 
     /// Decodes a genome into per-layer engine configurations (including
     /// spatial-fallback layers). Returns `None` when any layer's engine
     /// is invalid or empty.
     pub fn layer_designs(&self, genome: &[usize]) -> Option<Vec<LayerDesign>> {
-        if genome.len() != self.dims()
-            || genome.iter().enumerate().any(|(d, &g)| g >= self.cardinality(d))
-        {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.workload.layers().len());
-        let mut next_slot = 0usize;
-        for (li, layer) in self.workload.layers().iter().enumerate() {
-            let (idx, frac) = if self.eligible.contains(&li) {
-                let s = self.slot(genome, next_slot);
-                next_slot += 1;
-                s
-            } else {
-                // Ineligible layers always run the spatial fallback,
-                // which sits at whatever index m = 1 occupies (or would
-                // occupy): decode it directly.
-                let budget = self.mult_budget;
-                let params = WinogradParams::new(1, layer.shape.r).ok()?;
-                self.engines.get(&(1, layer.shape.r))?.as_ref()?;
-                let pe = pe_count(budget, params);
-                if pe == 0 {
-                    return None;
-                }
-                let latency_s = latency_seconds(
-                    self.workload.batch(),
-                    &layer.shape,
-                    params,
-                    pe as f64,
-                    self.pipeline_depth,
-                    self.freq_hz,
-                    self.tiles,
-                );
-                out.push(LayerDesign {
+        self.contexts(genome)?
+            .zip(self.workload.layers())
+            .map(|(context, layer)| {
+                context.map(|c| LayerDesign {
                     layer: layer.name.clone(),
-                    algo: AlgorithmChoice::Spatial,
-                    pe_count: pe,
-                    latency_ms: latency_s * 1e3,
-                });
-                continue;
-            };
-            let budget = (self.mult_budget as f64 * frac) as usize;
-            let (algo, pe, latency_s) = self.decode_algo(idx, &layer.shape, budget)?;
-            out.push(LayerDesign {
-                layer: layer.name.clone(),
-                algo,
-                pe_count: pe,
-                latency_ms: latency_s * 1e3,
-            });
-        }
-        Some(out)
-    }
-
-    /// Resource usage of one design's engine context.
-    fn context_usage(&self, design: &LayerDesign, r: usize) -> ResourceUsage {
-        match design.algo {
-            AlgorithmChoice::Fft { n } => fft_engine(n, (design.pe_count * 4) as u64),
-            AlgorithmChoice::Winograd(params) => self.engines[&(params.m(), params.r())]
-                .as_ref()
-                .expect("layer_designs validated engines")
-                .estimate(Architecture::SharedTransform, design.pe_count),
-            AlgorithmChoice::Spatial => self.engines[&(1, r)]
-                .as_ref()
-                .expect("layer_designs validated engines")
-                .estimate(Architecture::SharedTransform, design.pe_count),
-        }
+                    algo: c.algo,
+                    pe_count: c.pe_count,
+                    latency_ms: c.latency_ms,
+                })
+            })
+            .collect()
     }
 }
 
@@ -493,7 +542,7 @@ fn max_usage(a: ResourceUsage, b: ResourceUsage) -> ResourceUsage {
 
 impl SearchSpace for HeterogeneousSpace {
     fn dims(&self) -> usize {
-        2 * self.eligible.len()
+        2 * self.eligible
     }
 
     fn cardinality(&self, dim: usize) -> usize {
@@ -505,18 +554,20 @@ impl SearchSpace for HeterogeneousSpace {
     }
 
     fn evaluate(&self, genome: &[usize]) -> Evaluation {
-        let Some(designs) = self.layer_designs(genome) else {
+        let Some(contexts) = self.contexts(genome) else {
             return Evaluation::infeasible();
         };
         let mut total_s = 0.0f64;
         let mut energy = 0.0f64;
         let mut fabric = ResourceUsage::default();
-        for (design, layer) in designs.iter().zip(self.workload.layers()) {
-            let usage = self.context_usage(design, layer.shape.r);
-            let latency_s = design.latency_ms / 1e3;
+        for context in contexts {
+            let Some(context) = context else {
+                return Evaluation::infeasible();
+            };
+            let latency_s = context.latency_ms / 1e3;
             total_s += latency_s;
-            energy += latency_s * self.power.power_w(&usage, self.freq_hz);
-            fabric = max_usage(fabric, usage);
+            energy += latency_s * context.power_w;
+            fabric = max_usage(fabric, context.usage);
         }
         if total_s <= 0.0 {
             return Evaluation::infeasible();
@@ -551,9 +602,13 @@ impl SearchSpace for HeterogeneousSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        compare_strategies, EvalCache, Exhaustive, Genetic, Greedy, ParetoArchive, SearchObjective,
+        SimulatedAnnealing, Strategy,
+    };
     use wino_dse::Objective;
     use wino_fpga::virtex7_485t;
-    use wino_models::vgg16d;
+    use wino_models::{model_zoo, tiny_cnn, vgg16d};
 
     fn evaluator() -> Evaluator {
         Evaluator::new(vgg16d(1), virtex7_485t())
@@ -754,5 +809,271 @@ mod tests {
         let (p, _) = wino_dse::best_design(&ev, &[2, 3, 4], 3, 700, 200e6, Objective::Throughput)
             .expect("fits");
         assert_eq!(p.params.m(), 4);
+    }
+
+    /// The benchmark's space over `workload`: four tile sizes, four
+    /// allocations, three FFT sizes.
+    fn benchmark_space(workload: Workload) -> HeterogeneousSpace {
+        let ev = Evaluator::new(workload, virtex7_485t());
+        HeterogeneousSpace::new(&ev, vec![2, 3, 4, 6], vec![0.25, 0.5, 0.75, 1.0], 700, 200e6)
+            .with_fft_sizes(vec![8, 16, 32])
+    }
+
+    /// Evaluation without the table: decode every layer from the cost
+    /// models, estimate its context and sum in layer order. The
+    /// tabulated [`SearchSpace::evaluate`] must equal it bit for bit.
+    fn reference_evaluate(
+        space: &HeterogeneousSpace,
+        engines: &mut Engines,
+        genome: &[usize],
+    ) -> Evaluation {
+        if genome.len() != space.dims()
+            || genome.iter().enumerate().any(|(d, &g)| g >= space.cardinality(d))
+        {
+            return Evaluation::infeasible();
+        }
+        let batch = space.workload.batch();
+        let mut slots = genome.chunks_exact(2);
+        let mut designs: Vec<(f64, ResourceUsage)> = Vec::new();
+        for layer in space.workload.layers() {
+            let shape = &layer.shape;
+            // (algorithm index, budget); `None` is the spatial fallback.
+            let (idx, budget) = if shape.winograd_compatible() {
+                let slot = slots.next().expect("slot per eligible layer");
+                let frac = space.alloc_choices[slot[1]];
+                (Some(slot[0]), (space.mult_budget as f64 * frac) as usize)
+            } else {
+                (None, space.mult_budget)
+            };
+            let m = idx.map_or(Some(1), |i| space.m_choices.get(i).copied());
+            let decoded = match m {
+                Some(m) => WinogradParams::new(m, shape.r).ok().and_then(|params| {
+                    let engine = engines
+                        .entry((m, shape.r))
+                        .or_insert_with(|| EngineResources::new(params).ok())
+                        .as_ref()?;
+                    let pe = pe_count(budget, params);
+                    (pe > 0).then(|| {
+                        let latency_s = latency_seconds(
+                            batch,
+                            shape,
+                            params,
+                            pe as f64,
+                            space.pipeline_depth,
+                            space.freq_hz,
+                            space.tiles,
+                        );
+                        (latency_s, engine.estimate(Architecture::SharedTransform, pe))
+                    })
+                }),
+                None => {
+                    let n = space.fft_choices
+                        [idx.expect("FFT choices are genome slots") - space.m_choices.len()];
+                    let pe = budget / 4;
+                    (n >= shape.r && pe > 0).then(|| {
+                        let multipliers = pe * 4;
+                        let latency_s = fft_context_latency_seconds(
+                            batch,
+                            shape,
+                            n,
+                            multipliers as f64,
+                            space.pipeline_depth,
+                            space.freq_hz,
+                        );
+                        (latency_s, fft_engine(n, multipliers as u64))
+                    })
+                }
+            };
+            let Some((latency_s, usage)) = decoded else {
+                return Evaluation::infeasible();
+            };
+            designs.push((latency_s * 1e3, usage));
+        }
+        let mut total_s = 0.0f64;
+        let mut energy = 0.0f64;
+        let mut fabric = ResourceUsage::default();
+        for (latency_ms, usage) in designs {
+            let latency_s = latency_ms / 1e3;
+            total_s += latency_s;
+            energy += latency_s * space.power.power_w(&usage, space.freq_hz);
+            fabric = max_usage(fabric, usage);
+        }
+        if total_s <= 0.0 {
+            return Evaluation::infeasible();
+        }
+        let throughput = space.workload.spatial_ops() as f64 / total_s / 1e9;
+        let power_w = energy / total_s;
+        Evaluation {
+            throughput_gops: throughput,
+            power_efficiency: throughput / power_w,
+            latency_ms: total_s * 1e3,
+            power_w,
+            headroom: resource_headroom(&fabric, &space.device),
+            quant_error: 0.0,
+            resources: fabric,
+            feasible: fabric.fits(&space.device),
+        }
+    }
+
+    /// Every field of an evaluation as bits, so equality is bitwise.
+    fn bits(e: &Evaluation) -> ([u64; 6], ResourceUsage, bool) {
+        let floats = [
+            e.throughput_gops,
+            e.power_efficiency,
+            e.latency_ms,
+            e.power_w,
+            e.headroom,
+            e.quant_error,
+        ];
+        (floats.map(f64::to_bits), e.resources, e.feasible)
+    }
+
+    /// Asserts tabulated and reference evaluation agree bitwise on
+    /// `genomes` random genomes plus wrong-length and out-of-range ones.
+    fn assert_table_matches_reference(space: &HeterogeneousSpace, genomes: usize, seed: u64) {
+        let mut engines = Engines::new();
+        let mut rng = SplitMix64::new(seed);
+        let mut feasible = 0usize;
+        for _ in 0..genomes {
+            let genome = space.random_genome(&mut rng);
+            let tabulated = space.evaluate(&genome);
+            let reference = reference_evaluate(space, &mut engines, &genome);
+            assert_eq!(bits(&tabulated), bits(&reference), "{}: {genome:?}", space.workload.name());
+            feasible += usize::from(tabulated.feasible);
+            // The same genome one too long, one too short, and with one
+            // dimension pushed out of range: all infeasible.
+            let mut longer = genome.clone();
+            longer.push(0);
+            let shorter = &genome[..genome.len() - 1];
+            for bad in [&longer[..], shorter] {
+                assert!(!space.evaluate(bad).feasible);
+                assert!(space.layer_designs(bad).is_none());
+            }
+            let dim = rng.below(space.dims() as u64) as usize;
+            let mut out_of_range = genome;
+            out_of_range[dim] = space.cardinality(dim);
+            assert_eq!(bits(&space.evaluate(&out_of_range)), bits(&Evaluation::infeasible()));
+        }
+        assert!(feasible > 0, "{}: no feasible genome drawn", space.workload.name());
+    }
+
+    #[test]
+    fn tabulated_evaluation_is_bitwise_the_decode_and_sum() {
+        for (i, workload) in model_zoo(1).into_iter().enumerate() {
+            assert_table_matches_reference(&benchmark_space(workload), 20_000, i as u64);
+        }
+    }
+
+    #[test]
+    fn tabulated_evaluation_covers_every_invalid_context() {
+        // A stride-1 11x11 layer (m = 15 is an out-of-range transform,
+        // FFT(8) is below the kernel, F(6, 11) packs no PE at a quarter
+        // of 300 multipliers), a strided one (the fixed fallback), and a
+        // 3x3 one. The pipeline depth override rebuilds the table.
+        let mut wl = Workload::new("invalid-contexts", 1);
+        let shape = wino_core::ConvShape { h: 32, w: 32, c: 16, k: 16, r: 11, stride: 1, pad: 5 };
+        wl.push("big", "G", shape);
+        wl.push("strided", "G", wino_core::ConvShape { stride: 2, ..shape });
+        wl.push("small", "G", wino_core::ConvShape { r: 3, pad: 1, ..shape });
+        let ev = Evaluator::new(wl, virtex7_485t());
+        let space = HeterogeneousSpace::new(&ev, vec![1, 2, 6, 15], vec![0.25, 1.0], 300, 200e6)
+            .with_fft_sizes(vec![8, 16, 32])
+            .with_pipeline_depth(5);
+        // Algorithm indices: m = 1, 2, 6, 15, then FFT(8, 16, 32);
+        // allocation 0 is a quarter of the budget, 1 the full budget.
+        let LayerContexts::Chosen(big) = &space.table[0] else { panic!("big is eligible") };
+        let valid = |algo: usize, alloc: usize| big[algo * 2 + alloc].is_some();
+        assert!(!valid(3, 0) && !valid(3, 1), "F(15, 11) is out of range");
+        assert!(!valid(4, 0) && !valid(4, 1), "FFT(8) is below an 11x11 kernel");
+        assert!(!valid(2, 0) && valid(2, 1), "F(6, 11) packs a PE only at full budget");
+        assert!(valid(5, 0) && valid(6, 1));
+        assert!(matches!(space.table[1], LayerContexts::Fixed(Some(_))));
+        assert_table_matches_reference(&space, 2_000, 9);
+    }
+
+    /// The exact optimum of a separable objective: `fits` is a
+    /// per-resource bound and the fabric a per-resource max, so a design
+    /// fits iff every layer's context does, and throughput and latency
+    /// (Σ latency) and power efficiency (Σ latency × power) are
+    /// optimized by each layer's own argmin over its fitting contexts.
+    fn exact_optimum(space: &HeterogeneousSpace, objective: SearchObjective) -> Genome {
+        let cost = |c: &Context| {
+            let latency_s = c.latency_ms / 1e3;
+            match objective {
+                SearchObjective::Throughput | SearchObjective::Latency => latency_s,
+                SearchObjective::PowerEfficiency => latency_s * c.power_w,
+                other => panic!("{other} does not separate over layers"),
+            }
+        };
+        let fitting = |c: &Option<Context>| c.filter(|c| c.usage.fits(&space.device));
+        let allocs = space.alloc_choices.len();
+        let mut genome = Genome::new();
+        for row in &space.table {
+            match row {
+                LayerContexts::Fixed(c) => assert!(fitting(c).is_some(), "fallback cannot fit"),
+                LayerContexts::Chosen(row) => {
+                    let (best, _) = row
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, c)| fitting(c).map(|c| (i, cost(&c))))
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("some context fits");
+                    genome.extend([best / allocs, best % allocs]);
+                }
+            }
+        }
+        genome
+    }
+
+    const SEPARABLE: [SearchObjective; 3] =
+        [SearchObjective::Throughput, SearchObjective::Latency, SearchObjective::PowerEfficiency];
+
+    /// `score` does not beat `optimum` by more than 1e-12 relative.
+    fn within_optimum(score: f64, optimum: f64) -> bool {
+        score <= optimum + 1e-12 * optimum.abs()
+    }
+
+    #[test]
+    fn exhaustive_reaches_the_exact_optimum_on_tiny_cnn() {
+        let space = benchmark_space(tiny_cnn(1));
+        for objective in SEPARABLE {
+            let optimum = objective.score(&space.evaluate(&exact_optimum(&space, objective)));
+            assert!(optimum.is_finite(), "{objective}: the exact optimum is infeasible");
+            let outcome = Exhaustive { threads: 2 }.search(
+                &space,
+                &EvalCache::new(),
+                objective,
+                &mut ParetoArchive::new(),
+            );
+            let found = outcome.best_score(objective);
+            assert!(
+                within_optimum(found, optimum) && within_optimum(optimum, found),
+                "{objective}: exhaustive {found} vs exact {optimum}"
+            );
+        }
+    }
+
+    #[test]
+    fn metaheuristics_never_beat_the_exact_optimum() {
+        let greedy = Greedy { seed: 3, restarts: 2, max_evaluations: 1_500 };
+        let annealing = SimulatedAnnealing { seed: 4, iterations: 1_500, ..Default::default() };
+        let genetic = Genetic { seed: 5, population: 16, generations: 20, ..Default::default() };
+        let strategies: [&dyn Strategy; 3] = [&greedy, &annealing, &genetic];
+        for workload in model_zoo(1) {
+            let space = benchmark_space(workload);
+            for objective in SEPARABLE {
+                let optimum = objective.score(&space.evaluate(&exact_optimum(&space, objective)));
+                let (outcomes, _, _) = compare_strategies(&space, &strategies, objective);
+                for outcome in outcomes {
+                    let score = outcome.best_score(objective);
+                    assert!(
+                        within_optimum(score, optimum),
+                        "{} beat the exact {objective} optimum on {}: {score} > {optimum}",
+                        outcome.strategy,
+                        space.workload.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -195,37 +195,39 @@ impl Strategy for Greedy {
             let mut current = space.random_genome(&mut rng);
             let current_eval = cache.evaluate(space, &current);
             evaluations += 1;
-            archive.insert(current.clone(), current_eval);
+            archive.offer(&current, current_eval);
             let mut current_score = objective.finite_score(&current_eval);
             incumbent.offer(&current, current_eval, objective.score(&current_eval));
 
             loop {
-                let mut step: Option<(Genome, Evaluation, f64)> = None;
+                // Neighbors are probed in place; the step is kept as the
+                // (dimension, value) it changes.
+                let mut step: Option<(usize, usize, f64)> = None;
                 for dim in 0..space.dims() {
+                    let here = current[dim];
                     for delta in [-1isize, 1] {
-                        let value = current[dim] as isize + delta;
+                        let value = here as isize + delta;
                         if value < 0 || value >= space.cardinality(dim) as isize {
                             continue;
                         }
                         if evaluations >= self.max_evaluations {
                             break 'restarts;
                         }
-                        let mut neighbor = current.clone();
-                        neighbor[dim] = value as usize;
-                        let evaluation = cache.evaluate(space, &neighbor);
+                        current[dim] = value as usize;
+                        let evaluation = cache.evaluate(space, &current);
                         evaluations += 1;
-                        archive.insert(neighbor.clone(), evaluation);
-                        incumbent.offer(&neighbor, evaluation, objective.score(&evaluation));
+                        archive.offer(&current, evaluation);
+                        incumbent.offer(&current, evaluation, objective.score(&evaluation));
                         let score = objective.finite_score(&evaluation);
-                        if score > current_score && step.as_ref().is_none_or(|(_, _, s)| score > *s)
-                        {
-                            step = Some((neighbor, evaluation, score));
+                        if score > current_score && step.is_none_or(|(_, _, s)| score > s) {
+                            step = Some((dim, value as usize, score));
                         }
                     }
+                    current[dim] = here;
                 }
                 match step {
-                    Some((genome, _, score)) => {
-                        current = genome;
+                    Some((dim, value, score)) => {
+                        current[dim] = value;
                         current_score = score;
                     }
                     None => break,
@@ -283,7 +285,7 @@ impl Strategy for SimulatedAnnealing {
         let mut current = space.random_genome(&mut rng);
         let current_eval = cache.evaluate(space, &current);
         let mut evaluations = 1usize;
-        archive.insert(current.clone(), current_eval);
+        archive.offer(&current, current_eval);
         incumbent.offer(&current, current_eval, objective.score(&current_eval));
         let mut current_score = objective.finite_score(&current_eval);
 
@@ -311,15 +313,16 @@ impl Strategy for SimulatedAnnealing {
             if card <= 1 {
                 continue;
             }
-            let mut candidate = current.clone();
-            // Draw a different value for the chosen dimension.
+            // Propose in place: draw a different value for the chosen
+            // dimension, and put the old one back if it is rejected.
+            let previous = current[dim];
             let offset = 1 + rng.below(card as u64 - 1) as usize;
-            candidate[dim] = (candidate[dim] + offset) % card;
+            current[dim] = (previous + offset) % card;
 
-            let evaluation = cache.evaluate(space, &candidate);
+            let evaluation = cache.evaluate(space, &current);
             evaluations += 1;
-            archive.insert(candidate.clone(), evaluation);
-            incumbent.offer(&candidate, evaluation, objective.score(&evaluation));
+            archive.offer(&current, evaluation);
+            incumbent.offer(&current, evaluation, objective.score(&evaluation));
 
             let score = objective.finite_score(&evaluation);
             if !calibrated && evaluation.feasible {
@@ -334,8 +337,9 @@ impl Strategy for SimulatedAnnealing {
                 || (!calibrated && delta >= 0.0)
                 || (temperature > 0.0 && rng.next_f64() < (delta / temperature).exp());
             if accept {
-                current = candidate;
                 current_score = score;
+            } else {
+                current[dim] = previous;
             }
             temperature *= self.cooling;
         }
@@ -410,7 +414,7 @@ impl Strategy for Genetic {
                 let genome = space.random_genome(&mut rng);
                 let evaluation = cache.evaluate(space, &genome);
                 evaluations += 1;
-                archive.insert(genome.clone(), evaluation);
+                archive.offer(&genome, evaluation);
                 incumbent.offer(&genome, evaluation, objective.score(&evaluation));
                 let score = objective.finite_score(&evaluation);
                 (genome, score)
@@ -423,11 +427,11 @@ impl Strategy for Genetic {
             let mut next: Vec<(Genome, f64)> =
                 ranked.iter().take(self.elites.min(population)).cloned().collect();
             while next.len() < population {
-                let mother = self.pick_parent(&mut rng, &ranked).clone();
-                let father = self.pick_parent(&mut rng, &ranked).clone();
+                let mother = self.pick_parent(&mut rng, &ranked);
+                let father = self.pick_parent(&mut rng, &ranked);
                 let mut child: Genome = mother
                     .iter()
-                    .zip(&father)
+                    .zip(father)
                     .map(|(&m, &f)| if rng.next_u64() & 1 == 0 { m } else { f })
                     .collect();
                 for (dim, gene) in child.iter_mut().enumerate() {
@@ -437,7 +441,7 @@ impl Strategy for Genetic {
                 }
                 let evaluation = cache.evaluate(space, &child);
                 evaluations += 1;
-                archive.insert(child.clone(), evaluation);
+                archive.offer(&child, evaluation);
                 incumbent.offer(&child, evaluation, objective.score(&evaluation));
                 let score = objective.finite_score(&evaluation);
                 next.push((child, score));
