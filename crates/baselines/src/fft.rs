@@ -46,14 +46,17 @@ impl std::ops::Sub for Complex {
     }
 }
 
-/// Precomputed twiddle tables for radix-2 FFTs of one length.
+/// Precomputed twiddle and bit-reversal tables for radix-2 FFTs of one
+/// length.
 ///
-/// The naive iterative FFT recomputes `cos`/`sin` per butterfly stage
-/// and grows each stage's twiddle by repeated complex multiplication on
-/// **every call**; a convolution makes thousands of calls over the same
-/// length. An `FftPlan` tabulates every stage's twiddle powers once
-/// (directly from `cos`/`sin`, which is also more accurate than the
-/// repeated-product recurrence) and [`FftPlan::run`] reuses them.
+/// The naive iterative FFT recomputes `cos`/`sin` per butterfly stage,
+/// grows each stage's twiddle by repeated complex multiplication and
+/// recomputes the bit-reversal permutation on **every call**; a
+/// convolution makes thousands of calls over the same length. An
+/// `FftPlan` tabulates every stage's twiddle powers once (directly from
+/// `cos`/`sin`, which is also more accurate than the repeated-product
+/// recurrence) and the permutation's swaps once, and [`FftPlan::run`]
+/// reuses them.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
@@ -62,6 +65,9 @@ pub struct FftPlan {
     forward: Vec<Complex>,
     /// Inverse twiddles — elementwise conjugates of `forward`.
     inverse: Vec<Complex>,
+    /// The bit-reversal permutation as its swaps: every `(i, j)` with
+    /// `j` the bit reversal of `i` and `i < j`, in increasing `i`.
+    swaps: Vec<(usize, usize)>,
 }
 
 impl FftPlan {
@@ -83,7 +89,14 @@ impl FftPlan {
             len <<= 1;
         }
         let inverse = forward.iter().map(|w| Complex::new(w.re, -w.im)).collect();
-        FftPlan { n, forward, inverse }
+        let bits = n.trailing_zeros();
+        let swaps = (0..n)
+            .filter_map(|i| {
+                let j = if bits == 0 { i } else { i.reverse_bits() >> (usize::BITS - bits) };
+                (i < j).then_some((i, j))
+            })
+            .collect();
+        FftPlan { n, forward, inverse, swaps }
     }
 
     /// The transform length this plan was built for.
@@ -104,14 +117,8 @@ impl FftPlan {
         if n <= 1 {
             return;
         }
-        // Bit-reversal permutation.
-        let bits = n.trailing_zeros();
-        for i in 0..n {
-            let j = (i as u64).reverse_bits() >> (64 - bits) as u64;
-            let j = j as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
+        for &(i, j) in &self.swaps {
+            buf.swap(i, j);
         }
         // Butterflies, twiddles read from the stage-major tables.
         let tw = if inverse { &self.inverse } else { &self.forward };
@@ -223,6 +230,39 @@ mod tests {
                 plan.run(&mut a, inverse);
                 fft_in_place(&mut b, inverse);
                 assert_eq!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn plan_matches_the_direct_dft() {
+        // Checks the tabulated bit-reversal permutation and twiddles
+        // against the O(n²) definition, forward and inverse.
+        let mut rng = SplitMix64::new(78);
+        for n in [1usize, 2, 4, 8, 16, 32] {
+            let plan = FftPlan::new(n);
+            let x: Vec<Complex> = (0..n)
+                .map(|_| {
+                    Complex::new(
+                        rng.uniform_f32(-1.0, 1.0) as f64,
+                        rng.uniform_f32(-1.0, 1.0) as f64,
+                    )
+                })
+                .collect();
+            for inverse in [false, true] {
+                let sign = if inverse { 1.0 } else { -1.0 };
+                let mut got = x.clone();
+                plan.run(&mut got, inverse);
+                for (k, g) in got.iter().enumerate() {
+                    let want = x.iter().enumerate().fold(Complex::default(), |acc, (j, &v)| {
+                        let a = sign * 2.0 * std::f64::consts::PI * (j * k) as f64 / n as f64;
+                        acc + v * Complex::new(a.cos(), a.sin())
+                    });
+                    assert!(
+                        (g.re - want.re).abs() < 1e-12 && (g.im - want.im).abs() < 1e-12,
+                        "n={n} inverse={inverse} bin {k}: {g:?} vs {want:?}"
+                    );
+                }
             }
         }
     }

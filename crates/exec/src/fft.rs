@@ -21,18 +21,24 @@
 //!
 //! 1. **Pack** — one item per [`PANEL_TILES`]-tile panel: gather each
 //!    tile's `N×N` window (zero-filled outside the padded input) and
-//!    forward-transform it with the real-input rfft2 below, scattering
-//!    the `N·(N/2+1)` half-plane bins into bin-major panels
-//!    `u[(bin·C + c)·np + tp]` — each bin's `C × np` slice is the `B`
-//!    operand of one GEMM, exactly like a Winograd coordinate.
+//!    forward-transform it with the real-input rfft2 below, narrowing
+//!    the `N·(N/2+1)` half-plane bins to `f32` into bin-major panels.
+//!    Each bin's slice is the `2C × 2np` matrix
+//!    `[[U_re, U_im], [−U_im, U_re]]` (channels down, the panel's `np`
+//!    tiles across) — the `B` operand of one GEMM, exactly like a
+//!    Winograd coordinate.
 //! 2. **Multiply** — one item per `(bin, panel)` pair: the complex
-//!    product `M_bin = V_bin · U_bin` as **four real GEMMs** through
-//!    [`gemm_packed_a`] (`Re·Re`, `Im·Im`, `Re·Im`, `Im·Re` against the
-//!    pre-packed kernel-spectrum slabs) combined elementwise in fixed
-//!    order: `M_re = RR − II`, `M_im = RI + IR`.
+//!    product `M_bin = V_bin · U_bin` as **one real GEMM** through
+//!    [`gemm_packed_a`] against the pre-packed `K × 2C` kernel-spectrum
+//!    slab `[V_re | V_im]`. Its `K × 2np` output is `[M_re | M_im]`
+//!    directly (`M_re = V_re·U_re − V_im·U_im`,
+//!    `M_im = V_re·U_im + V_im·U_re`), each element one fixed-order
+//!    chain of `2C` multiply-adds, with no temporaries and no combining
+//!    pass.
 //! 3. **Inverse** — one item per `(image, tile-row)` pair: gather each
-//!    tile's bins, inverse rfft2, and copy the valid `L×L` block (at
-//!    circular-plane offset `r−1`) into the output rows.
+//!    tile's bins (widened back to `f64`), inverse rfft2, and copy the
+//!    valid `L×L` block (at circular-plane offset `r−1`) into the
+//!    output rows.
 //!
 //! ## Real-input packing
 //!
@@ -46,15 +52,22 @@
 //!
 //! ## Precision
 //!
-//! Transform internals run in `f64` (matching the `wino-baselines`
-//! reference) regardless of the datapath scalar `T`: tile windows are
-//! widened via [`Scalar::to_f64`] on gather and narrowed via
-//! [`Scalar::from_f64`] on the final valid-region copy. Every step is
-//! sequential with a fixed order per tile, so outputs are bitwise
-//! identical at any thread count. The f32 serving path is the intended
-//! user; `Schedule` validation rejects FFT plans on quantized layers
-//! (the widened datapath would bypass DSP-style saturation), though the
-//! type itself stays generic so the backend layer has one shape.
+//! Transforms run in `f64` (matching the `wino-baselines` reference)
+//! regardless of the datapath scalar `T`; the kernel spectra and the
+//! GEMM operands are `f32`. Tile windows are widened via
+//! [`Scalar::to_f64`] on gather, forward-transformed in `f64` and
+//! narrowed to `f32` as the pack phase writes them; kernel spectra are
+//! narrowed the same way at preparation. The multiply runs in `f32` —
+//! at vector width on every instruction-set build of the shared GEMM —
+//! and the inverse widens its products back to `f64` and narrows via
+//! [`Scalar::from_f64`] only on the final valid-region copy.
+//! [`fft_error_bound`] is derived for exactly this arithmetic. Every
+//! step is sequential with a fixed order per tile, so outputs are
+//! bitwise identical at any thread count. The f32 serving path is the
+//! intended user; `Schedule` validation rejects FFT plans on quantized
+//! layers (the widened datapath would bypass DSP-style saturation),
+//! though the type itself stays generic so the backend layer has one
+//! shape.
 
 use crate::gemm::{gemm_packed_a, pack_a, MR, PANEL_TILES};
 use crate::layer::run_chunked;
@@ -69,65 +82,79 @@ fn bin_count(n: usize) -> usize {
     n * (n / 2 + 1)
 }
 
-/// Forward real-input 2-D FFT of a row-major `n×n` plane: row pass with
-/// two-rows-per-complex-FFT packing keeping columns `v ∈ 0..=n/2`, then
-/// full complex column FFTs over the kept columns. Returns the
-/// `n·(n/2+1)` half-plane, row-frequency-major: `bins[u·(n/2+1) + v]`.
-fn rfft2_forward(plan: &FftPlan, real: &[f64], n: usize) -> Vec<Complex> {
+/// Forward real-input 2-D FFT of a row-major `n×n` plane into `out`:
+/// row pass with two-rows-per-complex-FFT packing keeping columns
+/// `v ∈ 0..=n/2`, then full complex column FFTs over the kept columns,
+/// in place. `out` receives the `n·(n/2+1)` half-plane,
+/// row-frequency-major: `out[u·(n/2+1) + v]`. `line` is caller-owned
+/// scratch of `n` elements, so a work item transforming many planes
+/// allocates nothing per plane.
+fn rfft2_forward(
+    plan: &FftPlan,
+    real: &[f64],
+    n: usize,
+    line: &mut [Complex],
+    out: &mut [Complex],
+) {
     let half = n / 2 + 1;
-    let mut rows = vec![Complex::default(); n * half];
-    let mut z = vec![Complex::default(); n];
     for j in 0..n / 2 {
         let (a, b) = (&real[2 * j * n..(2 * j + 1) * n], &real[(2 * j + 1) * n..(2 * j + 2) * n]);
-        for (x, slot) in z.iter_mut().enumerate() {
+        for (x, slot) in line.iter_mut().enumerate() {
             *slot = Complex::new(a[x], b[x]);
         }
-        plan.run(&mut z, false);
+        plan.run(line, false);
         for v in 0..half {
-            let zv = z[v];
-            let zn = z[(n - v) % n];
-            rows[2 * j * half + v] = Complex::new((zv.re + zn.re) / 2.0, (zv.im - zn.im) / 2.0);
-            rows[(2 * j + 1) * half + v] =
+            let zv = line[v];
+            let zn = line[(n - v) % n];
+            out[2 * j * half + v] = Complex::new((zv.re + zn.re) / 2.0, (zv.im - zn.im) / 2.0);
+            out[(2 * j + 1) * half + v] =
                 Complex::new((zv.im + zn.im) / 2.0, (zn.re - zv.re) / 2.0);
         }
     }
-    let mut out = vec![Complex::default(); n * half];
-    let mut col = vec![Complex::default(); n];
+    column_pass(plan, out, n, line, false);
+}
+
+/// The complex FFT of every kept column `v ∈ 0..=n/2` of a half-plane,
+/// in place, through the `n`-element scratch `line`.
+fn column_pass(
+    plan: &FftPlan,
+    bins: &mut [Complex],
+    n: usize,
+    line: &mut [Complex],
+    inverse: bool,
+) {
+    let half = n / 2 + 1;
     for v in 0..half {
-        for (u, slot) in col.iter_mut().enumerate() {
-            *slot = rows[u * half + v];
+        for (u, slot) in line.iter_mut().enumerate() {
+            *slot = bins[u * half + v];
         }
-        plan.run(&mut col, false);
-        for (u, &value) in col.iter().enumerate() {
-            out[u * half + v] = value;
+        plan.run(line, inverse);
+        for (u, &value) in line.iter().enumerate() {
+            bins[u * half + v] = value;
         }
     }
-    out
 }
 
 /// Inverse of [`rfft2_forward`] including the `1/n²` scaling: column
-/// inverse FFTs over the kept columns, then row reconstruction — each
-/// pair of row spectra is Hermitian-extended into one complex inverse
-/// FFT whose real/imaginary parts are two real output rows.
-fn rfft2_inverse(plan: &FftPlan, bins: &[Complex], n: usize, real_out: &mut [f64]) {
+/// inverse FFTs over the kept columns (in place, so `bins` is
+/// consumed), then row reconstruction — each pair of row spectra is
+/// Hermitian-extended into one complex inverse FFT whose
+/// real/imaginary parts are two real output rows. `line` is the same
+/// `n`-element scratch as the forward transform's.
+fn rfft2_inverse(
+    plan: &FftPlan,
+    bins: &mut [Complex],
+    n: usize,
+    line: &mut [Complex],
+    real_out: &mut [f64],
+) {
     let half = n / 2 + 1;
-    let mut rows = vec![Complex::default(); n * half];
-    let mut col = vec![Complex::default(); n];
-    for v in 0..half {
-        for (u, slot) in col.iter_mut().enumerate() {
-            *slot = bins[u * half + v];
-        }
-        plan.run(&mut col, true);
-        for (u, &value) in col.iter().enumerate() {
-            rows[u * half + v] = value;
-        }
-    }
+    column_pass(plan, bins, n, line, true);
     let scale = 1.0 / (n * n) as f64;
-    let mut z = vec![Complex::default(); n];
     for j in 0..n / 2 {
-        let a = &rows[2 * j * half..2 * j * half + half];
-        let b = &rows[(2 * j + 1) * half..(2 * j + 1) * half + half];
-        for (v, slot) in z.iter_mut().enumerate() {
+        let a = &bins[2 * j * half..2 * j * half + half];
+        let b = &bins[(2 * j + 1) * half..(2 * j + 1) * half + half];
+        for (v, slot) in line.iter_mut().enumerate() {
             *slot = if v < half {
                 Complex::new(a[v].re - b[v].im, a[v].im + b[v].re)
             } else {
@@ -136,8 +163,8 @@ fn rfft2_inverse(plan: &FftPlan, bins: &[Complex], n: usize, real_out: &mut [f64
                 Complex::new(ac.re + bc.im, bc.re - ac.im)
             };
         }
-        plan.run(&mut z, true);
-        for (x, &value) in z.iter().enumerate() {
+        plan.run(line, true);
+        for (x, &value) in line.iter().enumerate() {
             real_out[2 * j * n + x] = value.re * scale;
             real_out[(2 * j + 1) * n + x] = value.im * scale;
         }
@@ -151,8 +178,8 @@ fn rfft2_inverse(plan: &FftPlan, bins: &[Complex], n: usize, real_out: &mut [f64
 ///
 /// Construction transforms every `(k, c)` kernel (spatially flipped so
 /// the frequency product is a correlation) into its half-plane
-/// spectrum and packs the per-bin `K×C` real and imaginary matrices
-/// into the GEMM micro-kernel's `A` layout, exactly as
+/// spectrum, narrows it to `f32`, and packs each bin's `K × 2C` matrix
+/// `[Re | Im]` into the GEMM micro-kernel's `A` layout, exactly as
 /// `PreparedWinograd::new` packs the `V`-bank. Execution is the
 /// three-phase overlap–save pipeline in the module docs; see there for
 /// the determinism argument.
@@ -164,11 +191,10 @@ pub struct PreparedFft<T: Scalar> {
     k: usize,
     c: usize,
     nbins: usize,
-    /// Real parts of the per-bin kernel-spectrum matrices, bin-major:
-    /// slab `bin` (of `v_slab` elements) is `pack_a` of `V_bin[k][c].re`.
-    v_re: Vec<f64>,
-    /// Imaginary parts, same layout as `v_re`.
-    v_im: Vec<f64>,
+    /// The per-bin kernel-spectrum matrices, bin-major: slab `bin` (of
+    /// `v_slab` elements) is `pack_a` of the `K × 2C` matrix whose row
+    /// `k` is `[V_bin[k][0..C].re, V_bin[k][0..C].im]`.
+    v: Vec<f32>,
     v_slab: usize,
     _scalar: PhantomData<T>,
 }
@@ -191,49 +217,36 @@ impl<T: Scalar> PreparedFft<T> {
 
         let plan = FftPlan::new(n);
         let nbins = bin_count(n);
-        let (mut re_mats, mut im_mats) =
-            (vec![0.0f64; nbins * ks.n * ks.c], vec![0.0f64; nbins * ks.n * ks.c]);
-        {
-            let mut window = vec![0.0f64; n * n];
-            for k in 0..ks.n {
-                for c in 0..ks.c {
-                    window.fill(0.0);
-                    // Spatially flipped placement, so the circular
-                    // product correlates (Eq. 1) instead of convolving.
-                    for v in 0..r {
-                        for u in 0..r {
-                            window[(r - 1 - v) * n + (r - 1 - u)] = kernels.at(k, c, v, u).to_f64();
-                        }
+        let (k_out, c_in) = (ks.n, ks.c);
+        // Bin-major `K × 2C` matrices: row k is [Re | Im] over channels.
+        let mut mats = vec![0.0f32; nbins * k_out * 2 * c_in];
+        let mut window = vec![0.0f64; n * n];
+        let mut line = vec![Complex::default(); n];
+        let mut spectrum = vec![Complex::default(); nbins];
+        for k in 0..k_out {
+            for c in 0..c_in {
+                window.fill(0.0);
+                // Spatially flipped placement, so the circular product
+                // correlates (Eq. 1) instead of convolving.
+                for v in 0..r {
+                    for u in 0..r {
+                        window[(r - 1 - v) * n + (r - 1 - u)] = kernels.at(k, c, v, u).to_f64();
                     }
-                    let spectrum = rfft2_forward(&plan, &window, n);
-                    for (bin, &s) in spectrum.iter().enumerate() {
-                        re_mats[(bin * ks.n + k) * ks.c + c] = s.re;
-                        im_mats[(bin * ks.n + k) * ks.c + c] = s.im;
-                    }
+                }
+                rfft2_forward(&plan, &window, n, &mut line, &mut spectrum);
+                for (bin, &s) in spectrum.iter().enumerate() {
+                    let row = (bin * k_out + k) * 2 * c_in;
+                    mats[row + c] = s.re as f32;
+                    mats[row + c_in + c] = s.im as f32;
                 }
             }
         }
-        let v_slab = ks.n.div_ceil(MR).max(1) * ks.c * MR;
-        let (mut v_re, mut v_im) =
-            (Vec::with_capacity(nbins * v_slab), Vec::with_capacity(nbins * v_slab));
-        for bin in 0..nbins {
-            let mat = &re_mats[bin * ks.n * ks.c..(bin + 1) * ks.n * ks.c];
-            v_re.extend_from_slice(&pack_a(ks.n, ks.c, mat, ks.c));
-            let mat = &im_mats[bin * ks.n * ks.c..(bin + 1) * ks.n * ks.c];
-            v_im.extend_from_slice(&pack_a(ks.n, ks.c, mat, ks.c));
+        let v_slab = k_out.div_ceil(MR).max(1) * 2 * c_in * MR;
+        let mut v = Vec::with_capacity(nbins * v_slab);
+        for mat in mats.chunks_exact(k_out * 2 * c_in) {
+            v.extend_from_slice(&pack_a(k_out, 2 * c_in, mat, 2 * c_in));
         }
-        PreparedFft {
-            plan,
-            n,
-            r,
-            k: ks.n,
-            c: ks.c,
-            nbins,
-            v_re,
-            v_im,
-            v_slab,
-            _scalar: PhantomData,
-        }
+        PreparedFft { plan, n, r, k: k_out, c: c_in, nbins, v, v_slab, _scalar: PhantomData }
     }
 
     /// The FFT size `N` the spectra were prepared for.
@@ -289,8 +302,9 @@ impl<T: Scalar> PreparedFft<T> {
         let in_flat = input.as_slice();
         let pad = pad as isize;
 
-        // Phase 1: gather + forward-transform tile panels, bin-major.
-        let u_panels: Vec<(Vec<f64>, Vec<f64>)> = {
+        // Phase 1: gather + forward-transform tile panels into each
+        // bin's `2C × 2np` GEMM operand [[Re, Im], [−Im, Re]], in f32.
+        let u_panels: Vec<Vec<f32>> = {
             let _phase = Span::enter("exec.phase", "pack");
             run_chunked(panels, threads, |p| {
                 let np = panel_len(p);
@@ -302,9 +316,11 @@ impl<T: Scalar> PreparedFft<T> {
                         (img, (ty * l) as isize - pad, (tx * l) as isize - pad)
                     })
                     .collect();
-                let mut u_re = vec![0.0f64; nbins * c_in * np];
-                let mut u_im = vec![0.0f64; nbins * c_in * np];
+                let bin_len = 4 * c_in * np;
+                let mut u = vec![0.0f32; nbins * bin_len];
                 let mut window = vec![0.0f64; n * n];
+                let mut line = vec![Complex::default(); n];
+                let mut spectrum = vec![Complex::default(); nbins];
                 for c in 0..c_in {
                     for (tp, &(img, top, left)) in coords.iter().enumerate() {
                         let plane = &in_flat[(img * c_in + c) * plane_stride..][..plane_stride];
@@ -337,46 +353,42 @@ impl<T: Scalar> PreparedFft<T> {
                                 }
                             }
                         }
-                        let spectrum = rfft2_forward(&self.plan, &window, n);
+                        rfft2_forward(&self.plan, &window, n, &mut line, &mut spectrum);
                         for (bin, &s) in spectrum.iter().enumerate() {
-                            u_re[(bin * c_in + c) * np + tp] = s.re;
-                            u_im[(bin * c_in + c) * np + tp] = s.im;
+                            let (re, im) = (s.re as f32, s.im as f32);
+                            let top = bin * bin_len + c * 2 * np;
+                            let bottom = top + c_in * 2 * np;
+                            u[top + tp] = re;
+                            u[top + np + tp] = im;
+                            u[bottom + tp] = -im;
+                            u[bottom + np + tp] = re;
                         }
                     }
                 }
-                (u_re, u_im)
+                u
             })
         };
 
-        // Phase 2: per-(bin, panel) complex GEMMs — four real GEMMs
-        // against the packed spectrum slabs, combined in fixed order.
-        let m_chunks: Vec<(Vec<f64>, Vec<f64>)> = {
+        // Phase 2: per-(bin, panel) complex products as one real GEMM:
+        // `[V_re | V_im] · [[U_re, U_im], [−U_im, U_re]]` is the `K × 2np`
+        // matrix `[M_re | M_im]`, each element one fixed-order f32 chain.
+        let m_chunks: Vec<Vec<f32>> = {
             let _phase = Span::enter("exec.phase", "multiply");
             run_chunked(nbins * panels, threads, |item| {
                 let (bin, p) = (item / panels, item % panels);
                 let np = panel_len(p);
-                let v_re = &self.v_re[bin * self.v_slab..(bin + 1) * self.v_slab];
-                let v_im = &self.v_im[bin * self.v_slab..(bin + 1) * self.v_slab];
-                let (u_re, u_im) = &u_panels[p];
-                let u_re = &u_re[bin * c_in * np..(bin + 1) * c_in * np];
-                let u_im = &u_im[bin * c_in * np..(bin + 1) * c_in * np];
-                let mut rr = vec![0.0f64; k_out * np];
-                let mut ii = vec![0.0f64; k_out * np];
-                let mut ri = vec![0.0f64; k_out * np];
-                let mut ir = vec![0.0f64; k_out * np];
-                gemm_packed_a(k_out, np, c_in, v_re, u_re, np, &mut rr, np);
-                gemm_packed_a(k_out, np, c_in, v_im, u_im, np, &mut ii, np);
-                gemm_packed_a(k_out, np, c_in, v_re, u_im, np, &mut ri, np);
-                gemm_packed_a(k_out, np, c_in, v_im, u_re, np, &mut ir, np);
-                let m_re: Vec<f64> = rr.iter().zip(&ii).map(|(a, b)| a - b).collect();
-                let m_im: Vec<f64> = ri.iter().zip(&ir).map(|(a, b)| a + b).collect();
-                (m_re, m_im)
+                let v = &self.v[bin * self.v_slab..(bin + 1) * self.v_slab];
+                let u = &u_panels[p][bin * 4 * c_in * np..(bin + 1) * 4 * c_in * np];
+                let mut m = vec![0.0f32; k_out * 2 * np];
+                gemm_packed_a(k_out, 2 * np, 2 * c_in, v, u, 2 * np, &mut m, 2 * np);
+                m
             })
         };
         drop(u_panels);
 
-        // Phase 3: inverse transforms per (image, tile-row); the valid
-        // L×L block of each circular plane lands at offset r−1.
+        // Phase 3: inverse transforms per (image, tile-row), widened back
+        // to f64; the valid L×L block of each circular plane lands at
+        // offset r−1.
         let blocks = {
             let _phase = Span::enter("exec.phase", "inverse");
             run_chunked(is.n * tiles_y, threads, |item| {
@@ -384,6 +396,7 @@ impl<T: Scalar> PreparedFft<T> {
                 let rows_here = l.min(out_h - ty * l);
                 let row_base = (img * tiles_y + ty) * tiles_x;
                 let mut bins = vec![Complex::default(); nbins];
+                let mut line = vec![Complex::default(); n];
                 let mut plane = vec![0.0f64; n * n];
                 let mut local = vec![T::zero(); k_out * rows_here * out_w];
                 for k in 0..k_out {
@@ -391,15 +404,13 @@ impl<T: Scalar> PreparedFft<T> {
                         let t = row_base + tx;
                         let (p, tp) = (t / PANEL_TILES, t % PANEL_TILES);
                         let np = panel_len(p);
-                        let (m_re, m_im) = &m_chunks[/* bin-major items */ p];
                         // Gather this tile's bins across the per-(bin,
                         // panel) GEMM outputs.
-                        let _ = (m_re, m_im);
                         for (bin, slot) in bins.iter_mut().enumerate() {
-                            let (m_re, m_im) = &m_chunks[bin * panels + p];
-                            *slot = Complex::new(m_re[k * np + tp], m_im[k * np + tp]);
+                            let m = &m_chunks[bin * panels + p][k * 2 * np..];
+                            *slot = Complex::new(f64::from(m[tp]), f64::from(m[np + tp]));
                         }
-                        rfft2_inverse(&self.plan, &bins, n, &mut plane);
+                        rfft2_inverse(&self.plan, &mut bins, n, &mut line, &mut plane);
                         let cols_here = l.min(out_w - tx * l);
                         for dy in 0..rows_here {
                             let src = (dy + r - 1) * n + (r - 1);
@@ -435,19 +446,51 @@ impl<T: Scalar> PreparedFft<T> {
 /// [`quant_error_bound`](crate::quant_error_bound), used by the
 /// property tests as their tolerance.
 ///
-/// With `|input| ≤ input_mag` and `|weights| ≤ weight_mag`, each output
-/// accumulates `t = C·r²` products of magnitude at most
-/// `input_mag·weight_mag`. The dominant term is the *oracle's* f32
-/// sequential accumulation (≤ `t·ε₃₂` relative to the `t`-term sum)
-/// plus the backend's single f32 rounding on output; the backend's own
-/// f64 transform error (a few `ε₆₄·log₂N` per forward+inverse pass) is
-/// ten orders smaller but included for honesty.
+/// With `|input| ≤ input_mag`, `|weights| ≤ weight_mag`, `t = C·r²`,
+/// unit roundoffs `u = 2⁻²⁴` (f32) and `ε₆₄` (f64) and
+/// `γ_j = j·u / (1 − j·u)`, the bound is the sum of four terms:
+///
+/// * **Oracle.** Each output is a `t`-term f32 dot product of terms at
+///   most `input_mag·weight_mag`, so with `S = t·input_mag·weight_mag`
+///   the oracle is off by at most `γ_t·S`.
+/// * **Output narrowing.** The backend rounds its `f64` result to `f32`
+///   once: at most `u·S`.
+/// * **The f32 multiply.** Each component of a bin's product
+///   `M = Σ_c V_c·U_c` is a `2C`-term f32 dot product of operands that
+///   were each rounded to f32 once, so it is off by at most
+///   `γ_{2C+2}·Σ_c (|Re V_c|·|Re U_c| + |Im V_c|·|Im U_c|)
+///   ≤ γ_{2C+2}·Σ_c |V_c|·|U_c|`, and `|ΔM| ≤ √2` times that. An
+///   output of the `1/N²`-scaled inverse (two real rows per complex row
+///   transform, so each output row sees the errors of two) is off by at
+///   most `2/N²` times the sum of `|ΔM|` over the `N²` bins of the
+///   Hermitian-extended plane. By Cauchy–Schwarz and Parseval
+///   (`‖X‖₂ = N·‖x‖₂`), `Σ_bins |V_c|·|U_c| ≤ N²·‖v_c‖₂·‖u_c‖₂`, where
+///   the `r×r` kernel has `‖v_c‖₂ ≤ r·weight_mag` and the `N×N` window
+///   `‖u_c‖₂ ≤ N·input_mag`. So with `ρ = C·r·N·input_mag·weight_mag`
+///   the multiply adds at most `2√2·γ_{2C+2}·ρ`.
+/// * **The f64 transforms.** A radix-2 transform over `2·log₂N` stages
+///   (rows then columns) plus the real-input split has normwise
+///   relative error at most `δ = 8·log₂N·ε₆₄` (Higham, *Accuracy and
+///   Stability of Numerical Algorithms*, Thm. 24.2). Through the same
+///   Cauchy–Schwarz step the two forward transforms add at most
+///   `4δ·ρ`; the inverse adds `δ` times the 2-norm of the `N×N`
+///   circular plane, at most `δ·N·S`.
+///
+/// The multiply term is about `4√2·N/r³` of the oracle term for wide
+/// layers, so the f32 spectra cost most where kernels are small (where
+/// Winograd, not FFT, is the algorithm of choice).
 pub fn fft_error_bound(shape: &ConvShape, n: usize, input_mag: f64, weight_mag: f64) -> f64 {
+    let u = f64::from(f32::EPSILON) / 2.0;
+    let gamma = |j: f64| j * u / (1.0 - j * u);
     let terms = (shape.c * shape.r * shape.r) as f64;
     let sum_mag = terms * input_mag * weight_mag;
-    let io = f32::EPSILON as f64 * sum_mag * (terms + 1.0);
-    let transform = f64::EPSILON * sum_mag * 8.0 * (n as f64).log2();
-    io + transform
+    let rho = (shape.c * shape.r * n) as f64 * input_mag * weight_mag;
+    let oracle = gamma(terms) * sum_mag;
+    let narrowing = u * sum_mag;
+    let multiply = 2.0 * std::f64::consts::SQRT_2 * gamma(2.0 * shape.c as f64 + 2.0) * rho;
+    let delta = 8.0 * (n as f64).log2() * f64::EPSILON;
+    let transforms = delta * (4.0 * rho + n as f64 * sum_mag);
+    oracle + narrowing + multiply + transforms
 }
 
 #[cfg(test)]
@@ -471,10 +514,11 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         let plane: Vec<f64> = (0..n * n).map(|_| rng.uniform_f32(-1.0, 1.0) as f64).collect();
         let plan = FftPlan::new(n);
-        let bins = rfft2_forward(&plan, &plane, n);
-        assert_eq!(bins.len(), bin_count(n));
+        let mut line = vec![Complex::default(); n];
+        let mut bins = vec![Complex::default(); bin_count(n)];
+        rfft2_forward(&plan, &plane, n, &mut line, &mut bins);
         let mut back = vec![0.0f64; n * n];
-        rfft2_inverse(&plan, &bins, n, &mut back);
+        rfft2_inverse(&plan, &mut bins, n, &mut line, &mut back);
         for (a, b) in plane.iter().zip(&back) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
@@ -487,7 +531,8 @@ mod tests {
         let mut rng = SplitMix64::new(4);
         let plane: Vec<f64> = (0..n * n).map(|_| rng.uniform_f32(-1.0, 1.0) as f64).collect();
         let plan = FftPlan::new(n);
-        let bins = rfft2_forward(&plan, &plane, n);
+        let mut bins = vec![Complex::default(); bin_count(n)];
+        rfft2_forward(&plan, &plane, n, &mut vec![Complex::default(); n], &mut bins);
         // Reference: rows then columns as full complex FFTs.
         let mut full: Vec<Complex> = plane.iter().map(|&x| Complex::new(x, 0.0)).collect();
         for row in 0..n {

@@ -48,28 +48,43 @@
 //! ## Instruction-set dispatch
 //!
 //! The crate builds for the baseline x86-64 target (SSE2, 4 `f32`
-//! lanes). [`gemm_packed_a`] checks once per call whether the CPU has
-//! AVX2 and, if so, runs a copy of the same kernel compiled with AVX2
-//! enabled, which turns each `NR`-wide accumulator row into one 8-lane
-//! register. FMA is deliberately not enabled: Rust never contracts
-//! `a * b + c`, so both copies execute the identical multiply-then-add
-//! chain and the determinism contract above holds on every host.
+//! lanes). [`gemm_packed_a`] runs one of three builds of the same
+//! source, the widest the CPU supports (detected once per process):
+//!
+//! * **AVX-512** (`avx512f`, `avx512vl`, `avx512dq`, `avx512bw`, plus
+//!   AVX2): each `NR`-wide accumulator row of `f64`, and of `Fixed`'s
+//!   `i64` products, is one 512-bit `zmm` register, and the saturating
+//!   `Fixed` multiply-add vectorizes: the 64-bit arithmetic shift and
+//!   the saturating 64 → 32-bit narrowing it needs are single AVX-512
+//!   instructions (`vpsraq`, `vpmovsqd`) that AVX2 lacks, so the
+//!   narrower builds do not vectorize it profitably;
+//! * **AVX2**: each `f32` accumulator row is one 8-lane `ymm` register;
+//! * **portable**: the baseline build.
+//!
+//! FMA is deliberately not enabled in any build: Rust never contracts
+//! `a * b + c`, so every build executes the identical multiply-then-add
+//! chain, and `Fixed`'s integer arithmetic is exact, so the determinism
+//! contract above holds on every host and every build produces the same
+//! bits (the `every_tier_is_bitwise_the_portable_body` test checks each
+//! build the host supports).
 
 use wino_tensor::Scalar;
 
 /// Rows of one register micro-tile (the `K`/kernel dimension).
 ///
-/// `8 × 8` at `f32` is eight 8-lane accumulators: on an AVX2 host
-/// ([`gemm_packed_a`] dispatches to an AVX2 build of the kernel at run
-/// time) each accumulator row is one 256-bit `ymm` register, leaving
-/// eight of the sixteen for the `B` row and the broadcast `A` values,
-/// so the block never spills. On the SSE2 baseline the same block is
-/// sixteen 4-lane `xmm` accumulators, which also measured fastest in
-/// the `{4, 6, 8} × {8, 16, 24}` sweep on the vgg16d-conv3 geometry
-/// (see `DESIGN.md`). A 16-wide AVX-512 tile (`NR = 16`) ran at 0.2×
-/// of this one: it spills. FMA stays off on purpose — a fused
-/// multiply-add rounds once where `gemm_naive` rounds twice, so it
-/// would change output bits.
+/// `8 × 8` at `f32` is eight 8-lane accumulators: on an AVX2 host each
+/// accumulator row is one 256-bit `ymm` register, leaving eight of the
+/// sixteen for the `B` row and the broadcast `A` values, so the block
+/// never spills. On the SSE2 baseline the same block is sixteen 4-lane
+/// `xmm` accumulators, which also measured fastest in the
+/// `{4, 6, 8} × {8, 16, 24}` sweep on the vgg16d-conv3 geometry (see
+/// `DESIGN.md`). The AVX-512 build keeps this `8 × 8` tile: an
+/// AVX-512 build with a 16-wide tile (`NR = 16`, so `[[T; 16]; MR]`
+/// accumulators) ran at 0.2× of this one, because it spills, while the
+/// `8 × 8` tile fits in the thirty-two `zmm` registers at every scalar
+/// (at `f32` a row is half a register). FMA stays off on purpose — a
+/// fused multiply-add rounds once where `gemm_naive` rounds twice, so
+/// it would change output bits.
 pub const MR: usize = 8;
 
 /// Columns of one register micro-tile (the tile/`T` dimension).
@@ -127,8 +142,8 @@ pub fn pack_a<T: Scalar>(m: usize, k: usize, a: &[T], lda: usize) -> Vec<T> {
 /// accumulation order every caller relies on. `apack`/`bpack` are the
 /// contiguous micro-panels produced by the packing routines.
 ///
-/// Always inlined, so the AVX2 build of [`gemm_packed_a`] compiles it
-/// with 8-lane vectors.
+/// Always inlined, so each instruction-set build of [`gemm_packed_a`]
+/// compiles it at its own vector width.
 #[inline(always)]
 fn micro_kernel<T: Scalar>(kc: usize, apack: &[T], bpack: &[T], acc: &mut [[T; NR]; MR]) {
     for p in 0..kc {
@@ -154,10 +169,10 @@ fn micro_kernel<T: Scalar>(kc: usize, apack: &[T], bpack: &[T], acc: &mut [[T; N
 /// `p = 0..k` in increasing order, so the result is bitwise identical
 /// to [`gemm_naive`] at any shape.
 ///
-/// On an x86-64 CPU with AVX2 (checked at run time) the kernel runs as
-/// an AVX2 build with 8-lane vectors; elsewhere it runs the portable
-/// build. Both perform the same multiplies and adds in the same order,
-/// so they produce the same bits.
+/// The kernel runs as the widest instruction-set build the CPU
+/// supports (AVX-512, then AVX2, then the portable build; see the
+/// module docs). Every build performs the same multiplies and adds in
+/// the same order, so they produce the same bits.
 ///
 /// # Panics
 ///
@@ -184,17 +199,100 @@ pub fn gemm_packed_a<T: Scalar>(
         assert!((k - 1) * ldb + n <= b.len(), "B exceeds the supplied slice");
     }
     assert!((m - 1) * ldc + n <= c.len(), "C exceeds the supplied slice");
+    Tier::best().run(m, n, k, apack, b, ldb, c, ldc);
+}
 
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: `gemm_body_avx2` only requires that the CPU supports
-        // AVX2, which was just checked at run time.
-        #[allow(unsafe_code)]
-        unsafe {
-            gemm_body_avx2(m, n, k, apack, b, ldb, c, ldc)
-        };
-        return;
+/// One instruction-set build of the kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+impl Tier {
+    /// Every build, widest first.
+    const ALL: [Tier; 3] = [Tier::Avx512, Tier::Avx2, Tier::Portable];
+
+    /// Whether this CPU can run the build.
+    fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => {
+                std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512vl")
+                    && std::is_x86_feature_detected!("avx512dq")
+                    && std::is_x86_feature_detected!("avx512bw")
+                    && std::is_x86_feature_detected!("avx2")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => std::is_x86_feature_detected!("avx2"),
+            Tier::Portable => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
     }
+
+    /// The widest build this CPU supports, detected once per process.
+    fn best() -> Tier {
+        static BEST: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+        *BEST.get_or_init(|| {
+            Tier::ALL.into_iter().find(|tier| tier.supported()).unwrap_or(Tier::Portable)
+        })
+    }
+
+    /// Runs [`gemm_body`] as this build. The caller has checked the
+    /// arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU does not [support](Self::supported) the build.
+    #[allow(clippy::too_many_arguments)] // BLAS-style flat dims-and-strides signature
+    fn run<T: Scalar>(
+        self,
+        m: usize,
+        n: usize,
+        k: usize,
+        apack: &[T],
+        b: &[T],
+        ldb: usize,
+        c: &mut [T],
+        ldc: usize,
+    ) {
+        assert!(self.supported(), "the {self:?} GEMM build needs CPU features this CPU lacks");
+        match self {
+            // SAFETY: the build only requires that the CPU supports
+            // AVX-512F/VL/DQ/BW and AVX2, which the assert above checked.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Tier::Avx512 => unsafe { gemm_body_avx512(m, n, k, apack, b, ldb, c, ldc) },
+            // SAFETY: the build only requires that the CPU supports AVX2,
+            // which the assert above checked.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Tier::Avx2 => unsafe { gemm_body_avx2(m, n, k, apack, b, ldb, c, ldc) },
+            _ => gemm_body(m, n, k, apack, b, ldb, c, ldc),
+        }
+    }
+}
+
+/// [`gemm_body`] compiled for AVX-512, so the micro-kernel runs on
+/// 512-bit `zmm` vectors. No FMA: every element stays the same
+/// multiply-then-add chain as the portable build, so both produce
+/// identical bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw,avx2")]
+#[allow(clippy::too_many_arguments)] // BLAS-style flat dims-and-strides signature
+fn gemm_body_avx512<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    apack: &[T],
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
     gemm_body(m, n, k, apack, b, ldb, c, ldc);
 }
 
@@ -373,12 +471,16 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
-    /// Runs the dispatched entry point (the AVX2 build on a CPU that
-    /// has it) and the portable body on the same operands and returns
-    /// both outputs' bits. Shapes cover `m, n < MR, NR`, ragged edges on
-    /// both axes, `k` beyond one and two `KC` blocks, and strided `B`/`C`
-    /// whose slack columns must stay untouched.
-    fn dispatched_and_portable<T: Scalar>(conv: impl Fn(f32) -> T, bits: impl Fn(T) -> u64) {
+    /// Runs every instruction-set build the CPU supports and the
+    /// portable body on the same operands and asserts equal bits.
+    /// Shapes cover `m, n < MR, NR`, ragged edges on both axes, `k`
+    /// beyond one and two `KC` blocks, and strided `B`/`C` whose slack
+    /// columns must stay untouched. Returns the builds that ran.
+    fn every_tier_matches_portable<T: Scalar>(
+        conv: impl Fn(f32) -> T,
+        bits: impl Fn(T) -> u64,
+    ) -> Vec<Tier> {
+        let tiers: Vec<Tier> = Tier::ALL.into_iter().filter(|t| t.supported()).collect();
         for (m, n, k, slack) in [
             (3, 5, 1, 0),
             (7, 6, KC + 5, 3),
@@ -390,23 +492,34 @@ mod tests {
             let a: Vec<T> = filled(m * k, 7).into_iter().map(&conv).collect();
             let b: Vec<T> = filled(k * ldb, 8).into_iter().map(&conv).collect();
             let apack = pack_a(m, k, &a, k);
-            let mut dispatched: Vec<T> = filled(m * ldc, 9).into_iter().map(&conv).collect();
-            let mut portable = dispatched.clone();
-            gemm_packed_a(m, n, k, &apack, &b, ldb, &mut dispatched, ldc);
+            let c0: Vec<T> = filled(m * ldc, 9).into_iter().map(&conv).collect();
+            let mut portable = c0.clone();
             gemm_body(m, n, k, &apack, &b, ldb, &mut portable, ldc);
-            let dispatched: Vec<u64> = dispatched.into_iter().map(&bits).collect();
             let portable: Vec<u64> = portable.into_iter().map(&bits).collect();
-            assert_eq!(dispatched, portable, "m={m} n={n} k={k} slack={slack}");
+            for &tier in &tiers {
+                let mut out = c0.clone();
+                tier.run(m, n, k, &apack, &b, ldb, &mut out, ldc);
+                let out: Vec<u64> = out.into_iter().map(&bits).collect();
+                assert_eq!(out, portable, "{tier:?}: m={m} n={n} k={k} slack={slack}");
+            }
+            let mut dispatched = c0;
+            gemm_packed_a(m, n, k, &apack, &b, ldb, &mut dispatched, ldc);
+            let dispatched: Vec<u64> = dispatched.into_iter().map(&bits).collect();
+            assert_eq!(dispatched, portable, "dispatched: m={m} n={n} k={k} slack={slack}");
         }
+        tiers
     }
 
     #[test]
-    fn dispatched_kernel_is_bitwise_the_portable_body() {
-        dispatched_and_portable(|x| x, |x: f32| u64::from(x.to_bits()));
-        dispatched_and_portable(f64::from, f64::to_bits);
+    fn every_tier_is_bitwise_the_portable_body() {
+        let tiers = every_tier_matches_portable(|x| x, |x: f32| u64::from(x.to_bits()));
+        every_tier_matches_portable(f64::from, f64::to_bits);
         // Scaled so long channel sums saturate: saturating adds do not
         // commute, so any reordering would show.
-        dispatched_and_portable(|x| Fixed::<10>::from_f32(256.0 * x), |x| x.to_f64().to_bits());
+        every_tier_matches_portable(|x| Fixed::<8>::from_f32(4096.0 * x), |x| x.to_f64().to_bits());
+        every_tier_matches_portable(|x| Fixed::<14>::from_f32(256.0 * x), |x| x.to_f64().to_bits());
+        assert_eq!(tiers.first(), Some(&Tier::best()), "dispatch takes the widest build");
+        println!("GEMM builds checked on this CPU: {tiers:?}");
     }
 
     #[test]

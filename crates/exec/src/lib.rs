@@ -61,8 +61,8 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the GEMM's run-time AVX2 dispatch
-// (`gemm::gemm_packed_a`) is the one place allowed an `unsafe` block.
+// `deny` rather than `forbid`: the GEMM's run-time instruction-set
+// dispatch (`gemm::Tier::run`) is the one place allowed `unsafe` blocks.
 #![deny(unsafe_code)]
 
 mod backend;

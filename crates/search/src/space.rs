@@ -341,7 +341,18 @@ impl HeterogeneousSpace {
             "FFT sizes must be powers of two >= 4"
         );
         self.fft_choices = sizes;
-        self.tabulated()
+        // Only the FFT columns depend on the sizes: keep every row's
+        // Winograd columns and rebuild the rest.
+        let winograd = self.m_choices.len() * self.alloc_choices.len();
+        let mut table = std::mem::take(&mut self.table);
+        for (layer, row) in self.workload.layers().iter().zip(&mut table) {
+            if let LayerContexts::Chosen(row) = row {
+                row.truncate(winograd);
+                row.extend(self.fft_columns(&layer.shape));
+            }
+        }
+        self.table = table;
+        self
     }
 
     /// The workload being mapped.
@@ -389,19 +400,13 @@ impl HeterogeneousSpace {
                 }
                 let algos = self.m_choices.len() + self.fft_choices.len();
                 let mut row = Vec::with_capacity(algos * self.alloc_choices.len());
-                for idx in 0..algos {
+                for &m in &self.m_choices {
                     for &frac in &self.alloc_choices {
-                        let budget = (self.mult_budget as f64 * frac) as usize;
-                        row.push(match self.m_choices.get(idx) {
-                            Some(&m) => self.winograd_context(&mut engines, m, shape, budget),
-                            None => self.fft_context(
-                                self.fft_choices[idx - self.m_choices.len()],
-                                shape,
-                                budget,
-                            ),
-                        });
+                        let budget = self.allocation(frac);
+                        row.push(self.winograd_context(&mut engines, m, shape, budget));
                     }
                 }
+                row.extend(self.fft_columns(shape));
                 LayerContexts::Chosen(row)
             })
             .collect();
@@ -439,6 +444,24 @@ impl HeterogeneousSpace {
         let algo =
             if m == 1 { AlgorithmChoice::Spatial } else { AlgorithmChoice::Winograd(params) };
         Some(self.context(algo, pe, latency_s, engine.estimate(Architecture::SharedTransform, pe)))
+    }
+
+    /// The multipliers an allocation fraction of the budget grants.
+    fn allocation(&self, frac: f64) -> usize {
+        (self.mult_budget as f64 * frac) as usize
+    }
+
+    /// One eligible layer's FFT columns of the table: every FFT size ×
+    /// every allocation, in genome order.
+    fn fft_columns<'a>(
+        &'a self,
+        shape: &'a wino_core::ConvShape,
+    ) -> impl Iterator<Item = Option<Context>> + 'a {
+        self.fft_choices.iter().flat_map(move |&n| {
+            self.alloc_choices
+                .iter()
+                .map(move |&frac| self.fft_context(n, shape, self.allocation(frac)))
+        })
     }
 
     /// One layer's `FFT(n)` context with `budget` multipliers. `None`

@@ -597,6 +597,8 @@ impl Drop for Server {
 mod tests {
     use super::*;
     use crate::VirtualClock;
+    use std::sync::OnceLock;
+    use std::time::Instant;
     use wino_core::{ConvShape, Workload};
     use wino_exec::{ExecConfig, Schedule};
 
@@ -623,11 +625,49 @@ mod tests {
         registry
     }
 
-    /// `registry` plus a `slow` model: one `slow` request keeps a
-    /// worker busy for milliseconds, so other requests queue behind it.
-    fn with_blocker(mut registry: ModelRegistry) -> ModelRegistry {
+    /// The least wall time one pass of the `slow` model takes. Every
+    /// check a test makes while a blocker runs (a few toy requests,
+    /// each served within milliseconds) settles long before it ends.
+    const BLOCKER: Duration = Duration::from_millis(250);
+
+    /// `registry` plus a `slow` model: one same-padded 3×3 layer of
+    /// `32s × 32s` pixels and `24s → 24s` channels, with the scale `s`
+    /// found once per test binary so that a pass takes at least
+    /// [`BLOCKER`] in this build. A fixed geometry would not do: a
+    /// release build runs it about a hundred times faster than a debug
+    /// build, and then finishes before the requests queued behind it
+    /// are served.
+    fn with_blocker(registry: ModelRegistry) -> ModelRegistry {
+        static SCALE: OnceLock<f64> = OnceLock::new();
+        let scale = *SCALE.get_or_init(|| {
+            let mut scale = 1.0;
+            loop {
+                let slow = with_slow_model(ModelRegistry::new(), scale);
+                // The fastest of two passes, so a preempted pass cannot
+                // make the blocker look longer than it is.
+                let pass = (0..2)
+                    .map(|_| {
+                        let started = Instant::now();
+                        slow.entry(0).infer_one(0);
+                        started.elapsed()
+                    })
+                    .min()
+                    .expect("two passes");
+                if pass >= BLOCKER {
+                    return scale;
+                }
+                // The work grows as s³ (transforms) to s⁴ (multiply):
+                // aim at the s⁴ estimate, and grow by at least 10 %.
+                scale *= (BLOCKER.as_secs_f64() / pass.as_secs_f64()).powf(0.25).max(1.1);
+            }
+        });
+        with_slow_model(registry, scale)
+    }
+
+    fn with_slow_model(mut registry: ModelRegistry, scale: f64) -> ModelRegistry {
+        let (size, channels) = ((32.0 * scale) as usize, (24.0 * scale) as usize);
         let mut wl = Workload::new("slow", 1);
-        wl.push("a", "G", ConvShape::same_padded(32, 32, 24, 24, 3));
+        wl.push("a", "G", ConvShape::same_padded(size, size, channels, channels, 3));
         let schedule = Schedule::homogeneous(&wl, 2).unwrap();
         registry.register("slow", wl, schedule, ExecConfig::with_threads(1), 3).unwrap();
         registry
