@@ -1,8 +1,8 @@
 //! Regeneration of the paper's figures (data series, not pixels).
 //!
 //! Each generator returns a [`SeriesFigure`] whose series can be printed
-//! next to the paper's published values (embedded in [`paper`]) — the
-//! per-figure binaries in `wino-bench` do exactly that.
+//! next to the paper's published values (embedded in [`paper`]) —
+//! `wino_bench::paper` does exactly that.
 
 use crate::{fmt_f, TextTable};
 use wino_core::{transform_ops_for, CostModel, TileModel, TransformOps, WinogradParams, Workload};
@@ -65,6 +65,38 @@ pub mod paper {
         [201.60, 460.80, 663.50, 819.19, 940.41, 1036.80, 1115.11],
         [403.20, 921.59, 1327.11, 1638.38, 1880.82, 2073.60, 2230.23],
     ];
+
+    /// Table I: registers, LUTs, DSPs at 19 PEs, \[3\]-based then proposed.
+    pub const TABLE1: [[u32; 3]; 2] = [[97_052, 232_256, 2_736], [76_500, 107_839, 2_736]];
+
+    /// Table I / abstract: LUT saving of the proposed design, percent.
+    pub const TABLE1_LUT_SAVING_PCT: f64 = 53.6;
+
+    /// Table II, columns `Ours 2,3`…`Ours 4,3`: Conv1…Conv5 ms, overall ms,
+    /// GOPS, GOPS per multiplier, W (baseline columns: `crate::qiu_fpga16`…).
+    pub const TABLE2_OURS: [([f64; 5], f64, f64, f64, f64); 3] = [
+        ([6.25, 8.96, 14.94, 14.94, 4.48], 49.57, 619.2, 0.90, 13.03),
+        ([4.27, 6.12, 10.19, 10.19, 3.06], 33.83, 907.2, 1.29, 23.96),
+        ([3.54, 5.07, 8.45, 8.45, 2.54], 28.05, 1094.3, 1.60, 36.32),
+    ];
+
+    /// Table II, `Ours 2,3` GOPS/W: implies 14.98 W, not the printed 13.03.
+    pub const TABLE2_OURS_2_3_GOPS_PER_W: f64 = 41.34;
+
+    /// Abstract: the m = 4 design's throughput and multipliers over \[3\].
+    pub const VS_PODILI: [f64; 2] = [4.75, 2.67];
+
+    /// Abstract: the m = 2 design's power efficiency over \[3\]ᵃ.
+    pub const POWER_EFFICIENCY_VS_PODILI: f64 = 1.44;
+
+    /// Conclusion: the m = 4 design's throughput and multipliers over \[12\].
+    pub const VS_QIU: [f64; 2] = [5.83, 0.88];
+
+    /// Sec. IV-A: outputs and multipliers per PE, `F(3×3)` over `F(2×2)`.
+    pub const PE_RATIOS: [f64; 2] = [2.25, 1.56];
+
+    /// Sec. IV-C: transform overhead over spatial at `P = 16`: ours, \[3\].
+    pub const OVERHEAD_RATIOS_P16: [f64; 2] = [1.5, 2.33];
 }
 
 fn f_label(m: usize) -> String {

@@ -141,3 +141,32 @@ fn every_bench_binary_is_documented_in_experiments() {
         missing.join(", ")
     );
 }
+
+#[test]
+fn every_documented_run_command_names_an_existing_entry_point() {
+    // A deleted or renamed binary or example must not live on in a doc's
+    // `cargo run` line. The skill file's `__probe` is a throwaway example
+    // that its readers create and delete again.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md"];
+    let mut stale = Vec::new();
+    for doc in docs.into_iter().chain([".claude/skills/verify/SKILL.md"]) {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for line in text.lines().filter(|l| l.contains("cargo run")) {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for pair in words.windows(2) {
+                if !matches!(pair[0], "--bin" | "--example") {
+                    continue;
+                }
+                let dir = if pair[0] == "--bin" { "crates/bench/src/bin" } else { "examples" };
+                let name =
+                    pair[1].trim_matches(|c: char| !(c.is_alphanumeric() || "_$".contains(c)));
+                let file = root.join(dir).join(format!("{name}.rs"));
+                if !(name.starts_with('$') || name == "__probe" || file.exists()) {
+                    stale.push(format!("{doc}: {} {name}", pair[0]));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "commands naming no binary or example:\n{}", stale.join("\n"));
+}

@@ -1,39 +1,71 @@
 //! Integration tests pinning every headline claim of the paper to the
-//! reproduction's output. Each test names the claim it checks.
+//! rows of `wino_bench::paper`, which the `paper` binary writes to
+//! `PAPER_results.json`. Each test names the claim it checks; its
+//! tolerance is its own, so a looser accept interval does not loosen it.
 
-use winofpga::core::{overhead_ratio_per_pe, overhead_ratio_shared, CostModel, TransformOps};
-use winofpga::dse::figures::{self, paper};
-use winofpga::prelude::*;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+use wino_bench::paper::{results, to_json, Row};
 
-fn evaluator() -> Evaluator {
-    Evaluator::new(vgg16d(1), virtex7_485t())
+fn rows() -> &'static [Row] {
+    static ROWS: OnceLock<Vec<Row>> = OnceLock::new();
+    ROWS.get_or_init(results)
+}
+
+fn row(artifact: &str, label: &str) -> &'static Row {
+    rows()
+        .iter()
+        .find(|r| r.artifact == artifact && r.row == label)
+        .unwrap_or_else(|| panic!("no row {artifact} / {label}"))
+}
+
+fn artifact(artifact: &str) -> Vec<&'static Row> {
+    rows().iter().filter(|r| r.artifact == artifact).collect()
+}
+
+/// `ours - published` for a row that has a published value.
+fn gap(r: &Row) -> f64 {
+    r.ours - r.published.unwrap_or_else(|| panic!("{} has no published value", r.row))
+}
+
+#[test]
+fn every_row_falls_inside_its_accept_interval() {
+    let failed: Vec<String> = rows()
+        .iter()
+        .filter(|r| !r.passes())
+        .map(|r| format!("{} / {}: {} not in {:?}", r.artifact, r.row, r.ours, r.accept))
+        .collect();
+    assert!(failed.is_empty(), "rows outside their accept interval:\n{}", failed.join("\n"));
+}
+
+#[test]
+fn committed_paper_results_match_the_rows() {
+    // The model is deterministic (seeded simulation included), so the
+    // committed artifact must be byte-for-byte what `paper` writes, in
+    // this debug build as in a release one.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("PAPER_results.json");
+    let committed = std::fs::read_to_string(&path).expect("PAPER_results.json is committed");
+    let json = to_json(rows());
+    winofpga::obs::validate_json(&json).expect("valid JSON");
+    assert!(
+        committed == json,
+        "PAPER_results.json is stale: run `cargo run -p wino-bench --bin paper`"
+    );
 }
 
 #[test]
 fn abstract_claim_4_75x_throughput_with_2_67x_multipliers() {
-    let ev = evaluator();
-    let sweep = sweep_m(&ev, &[2, 4], 3, 700, 200e6);
-    let (p2, m2) = &sweep[0]; // F(2x2,3x3): paper's [3] baseline geometry at 43 PEs
-    let (p4, m4) = &sweep[1];
-    // Compare against [3]'s original 16-PE configuration (256 mults).
-    let podili = ev.evaluate(&DesignPoint {
-        params: p2.params,
-        arch: Architecture::PerPeTransform,
-        pe_count: 16,
-        freq_hz: 200e6,
-        pipeline_depth: 8,
-    });
-    let speedup = m4.throughput_gops / podili.throughput_gops;
-    assert!((speedup - 4.75).abs() < 0.02, "throughput speedup {speedup:.3}");
-    let mults = p4.multipliers() as f64 / 256.0;
-    assert!((mults - 2.67).abs() < 0.01, "multiplier ratio {mults:.3}");
-    let _ = m2;
+    // F(4x4,3x3) x 19 PEs against [3]'s F(2x2,3x3) x 16 PEs (256 mults).
+    let speedup = row("claims", "throughput vs [3] (x)");
+    assert!(gap(speedup).abs() < 0.02, "throughput speedup {:.3}", speedup.ours);
+    let mults = row("claims", "multipliers vs [3] (x)");
+    assert!(gap(mults).abs() < 0.01, "multiplier ratio {:.3}", mults.ours);
 }
 
 #[test]
 fn abstract_claim_53_6_percent_logic_savings() {
-    let t1 = table1(&virtex7_485t());
-    assert!((t1.lut_saving * 100.0 - 53.6).abs() < 0.5, "got {:.2}%", t1.lut_saving * 100.0);
+    let saving = row("table1", "LUT saving (%)");
+    assert!(gap(saving).abs() < 0.5, "got {:.2}%", saving.ours);
 }
 
 #[test]
@@ -42,126 +74,91 @@ fn abstract_claim_power_efficiency_band() {
     // Our calibrated power model brackets the paper's two inconsistent
     // m = 2 power values (13.03 W printed / 14.98 W implied), so the
     // improvement lands in [1.44, 1.66].
-    let ev = evaluator();
-    let ours = ev.evaluate(&DesignPoint {
-        params: WinogradParams::new(2, 3).unwrap(),
-        arch: Architecture::SharedTransform,
-        pe_count: 43,
-        freq_hz: 200e6,
-        pipeline_depth: 8,
-    });
-    let improvement = ours.power_efficiency / 28.66;
+    let improvement = row("claims", "power efficiency vs [3]a (x)").ours;
     assert!((1.40..1.70).contains(&improvement), "got {improvement:.3}");
 }
 
 #[test]
 fn section3_quadratic_mult_decrease_and_transform_increase() {
-    // Fig. 1 / Fig. 2 directions: multiplications fall, transforms rise.
-    let wl = vgg16d(1);
-    let mut mults = Vec::new();
-    let mut transforms = Vec::new();
-    for m in 2..=7 {
-        let params = WinogradParams::new(m, 3).unwrap();
-        mults.push(wl.winograd_mults(params, TileModel::Fractional));
-        let ops = transform_ops_for(params, CostModel::ShiftFree);
-        transforms.push(wl.transform_complexity(params, ops, TileModel::Fractional).online_total());
-    }
-    assert!(mults.windows(2).all(|w| w[1] < w[0]), "{mults:?}");
-    assert!(transforms.windows(2).all(|w| w[1] > w[0]), "{transforms:?}");
+    // Fig. 1 / Fig. 2 directions, as Fig. 3's successive changes for
+    // m = 2..7: multiplications fall at every step, transforms rise at
+    // every step after m = 2.
+    let fig3 = artifact("fig3");
+    let series = |prefix: &str| -> Vec<f64> {
+        fig3.iter().filter(|r| r.row.starts_with(prefix)).map(|r| r.ours).collect()
+    };
+    let decrease = series("mult decrease");
+    let increase = series("transform increase");
+    assert_eq!((decrease.len(), increase.len()), (6, 6));
+    assert!(decrease.iter().all(|&d| d > 0.0), "{decrease:?}");
+    assert!(increase[1..].iter().all(|&i| i > 0.0), "{increase:?}");
 }
 
 #[test]
 fn section3c_m4_favorable_m5_not() {
-    let fig = fig3(&vgg16d(1), CostModel::ShiftFree);
-    let dec = &fig.series[0].1;
-    let inc = &fig.series[1].1;
-    // m = 4 (index 2): saving beats overhead; m = 5 (index 3): reversed.
-    assert!(dec[2] > inc[2]);
-    assert!(inc[3] > dec[3]);
+    assert!(row("fig3", "m=4 mult saving - transform increase (pp)").ours > 0.0);
+    assert!(row("fig3", "m=5 mult saving - transform increase (pp)").ours < 0.0);
 }
 
 #[test]
 fn section4a_pe_ratios() {
-    let ours = WinogradParams::new(3, 3).unwrap();
-    let podili = WinogradParams::new(2, 3).unwrap();
-    assert_eq!(ours.outputs_per_tile_2d() * 4, podili.outputs_per_tile_2d() * 9); // 2.25x
-    assert_eq!(ours.mults_per_tile_2d() * 16, podili.mults_per_tile_2d() * 25); // 1.5625x
+    // 2.25x the outputs for 1.5625x the multipliers.
+    assert_eq!(row("fig5", "F(3x3)/F(2x2) outputs per PE (x)").ours, 9.0 / 4.0);
+    assert_eq!(row("fig5", "F(3x3)/F(2x2) multipliers per PE (x)").ours, 25.0 / 16.0);
 }
 
 #[test]
 fn section4c_overhead_1_5x_vs_2_33x() {
-    let ops = TransformOps::LAVIN_F2X2_3X3;
-    let params = WinogradParams::new(2, 3).unwrap();
-    assert!((overhead_ratio_shared(params, ops, 16.0) - 1.5).abs() < 1e-12);
-    assert!((overhead_ratio_per_pe(params, ops) - 7.0 / 3.0).abs() < 1e-12);
+    assert!((row("sec4c", "ours, P=16 (x spatial)").ours - 1.5).abs() < 1e-12);
+    assert!((row("sec4c", "[3] (x spatial)").ours - 7.0 / 3.0).abs() < 1e-12);
 }
 
 #[test]
 fn table2_latency_column_reproduction() {
-    let ev = evaluator();
-    let cols = table2(&ev);
-    // Spot-check every published latency cell across all six columns.
-    let paper_cells: [(&str, [f64; 5], f64); 6] = [
-        ("[12]", [31.29, 23.58, 39.29, 36.30, 32.95], 163.4),
-        ("[3]", [16.81, 24.08, 40.14, 40.14, 12.04], 133.22),
-        ("[3]a", [6.25, 8.96, 14.94, 14.94, 4.48], 49.57),
-        ("Ours 2,3", [6.25, 8.96, 14.94, 14.94, 4.48], 49.57),
-        ("Ours 3,3", [4.27, 6.12, 10.19, 10.19, 3.06], 33.83),
-        ("Ours 4,3", [3.54, 5.07, 8.45, 8.45, 2.54], 28.05),
-    ];
-    for (label, conv, overall) in paper_cells {
-        let col = cols.iter().find(|c| c.label == label).unwrap_or_else(|| panic!("{label}"));
-        for (got, want) in col.conv_ms.iter().zip(&conv) {
-            assert!((got - want).abs() < 0.02, "{label}: {got:.3} vs {want}");
+    // Every published latency cell across all six columns.
+    for label in ["[12]", "[3]", "[3]a", "Ours 2,3", "Ours 3,3", "Ours 4,3"] {
+        for group in ["Conv1", "Conv2", "Conv3", "Conv4", "Conv5"] {
+            let cell = row("table2", &format!("{label} {group} (ms)"));
+            assert!(gap(cell).abs() < 0.02, "{}: {:.3}", cell.row, cell.ours);
         }
-        assert!((col.overall_ms - overall).abs() < 0.15, "{label} overall {:.2}", col.overall_ms);
+        let overall = row("table2", &format!("{label} overall (ms)"));
+        assert!(gap(overall).abs() < 0.15, "{label} overall {:.2}", overall.ours);
     }
 }
 
 #[test]
 fn table2_efficiency_rows() {
-    let ev = evaluator();
-    let cols = table2(&ev);
-    for (label, eff) in [("[12]", 0.24), ("[3]", 0.90), ("Ours 3,3", 1.29), ("Ours 4,3", 1.60)] {
-        let col = cols.iter().find(|c| c.label == label).unwrap();
-        assert!((col.mult_efficiency - eff).abs() < 0.01, "{label}: {}", col.mult_efficiency);
+    for label in ["[12]", "[3]", "Ours 3,3", "Ours 4,3"] {
+        let eff = row("table2", &format!("{label} GOPS/mult"));
+        assert!(gap(eff).abs() < 0.01, "{label}: {}", eff.ours);
     }
 }
 
 #[test]
 fn conclusion_5_83x_vs_qiu_with_0_88x_multipliers() {
-    let ev = evaluator();
-    let ours = ev.evaluate(&DesignPoint {
-        params: WinogradParams::new(4, 3).unwrap(),
-        arch: Architecture::SharedTransform,
-        pe_count: 19,
-        freq_hz: 200e6,
-        pipeline_depth: 8,
-    });
-    let qiu = winofpga::dse::qiu_fpga16();
-    let speedup = ours.throughput_gops / qiu.throughput_gops;
-    assert!((speedup - 5.83).abs() < 0.02, "got {speedup:.3}");
-    let mults = 684.0 / qiu.multipliers as f64;
-    assert!((mults - 0.88).abs() < 0.005, "got {mults:.3}");
+    let speedup = row("claims", "throughput vs [12] (x)");
+    assert!(gap(speedup).abs() < 0.02, "got {:.3}", speedup.ours);
+    let mults = row("claims", "multipliers vs [12] (x)");
+    assert!(gap(mults).abs() < 0.005, "got {:.3}", mults.ours);
 }
 
 #[test]
 fn fig6_full_grid_against_paper() {
-    let fig = fig6(&vgg16d(1), 200e6);
-    for (row, (_, values)) in fig.series.iter().enumerate() {
-        for (col, &v) in values.iter().enumerate() {
-            let expect = paper::FIG6_GOPS[row][col];
-            assert!((v - expect).abs() / expect < 0.002, "[{row}][{col}]: {v} vs {expect}");
-        }
+    let cells: Vec<_> = artifact("fig6").into_iter().filter(|r| r.published.is_some()).collect();
+    assert_eq!(cells.len(), 21, "3 budgets x 7 methods");
+    for r in cells {
+        assert!(gap(r).abs() / r.published.unwrap() < 0.002, "{}: {}", r.row, r.ours);
     }
 }
 
 #[test]
 fn figure_generators_share_the_workload_groups() {
-    let wl = vgg16d(1);
-    let f1 = figures::fig1(&wl);
-    assert_eq!(f1.x_labels.len(), 5);
-    assert_eq!(f1.series.len(), 7);
-    let f2 = figures::fig2(&wl, CostModel::ShiftFree);
-    assert_eq!(f2.x_labels.len(), 6);
+    // Fig. 1: 7 series (spatial, F(2)..F(7)) x the 5 VGG16-D groups.
+    let fig1 = artifact("fig1");
+    assert_eq!(fig1.len(), 35);
+    for (i, r) in fig1.iter().enumerate() {
+        assert!(r.row.ends_with(&format!("Conv{}", i % 5 + 1)), "{}", r.row);
+    }
+    // Fig. 2: one bar per m = 2..7.
+    assert_eq!(artifact("fig2").len(), 6);
 }
