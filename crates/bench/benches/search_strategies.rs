@@ -1,6 +1,6 @@
 //! Relative cost of the pluggable search strategies on heterogeneous
-//! per-layer spaces, and the effect of the memoizing evaluation cache
-//! and of parallelizing exhaustive enumeration.
+//! per-layer spaces, and the effect of parallelizing exhaustive
+//! enumeration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -31,16 +31,6 @@ fn bench_strategies(criterion: &mut Criterion) {
             })
         });
     }
-    // The cache in steady state: a second identical run over a warm cache.
-    group.bench_function("greedy_warm_cache", |b| {
-        let cache = EvalCache::new();
-        let mut archive = ParetoArchive::new();
-        greedy.search(&space, &cache, SearchObjective::Throughput, &mut archive);
-        b.iter(|| {
-            let mut archive = ParetoArchive::new();
-            greedy.search(&space, &cache, SearchObjective::Throughput, &mut archive)
-        })
-    });
     group.finish();
 
     // TinyCNN's enumerable space: exhaustive scaling across threads.

@@ -199,7 +199,9 @@ fn figures(s: &mut Sheet, wl: &Workload) {
     for (bi, (name, values)) in fig.series.iter().enumerate() {
         for (xi, &v) in values.iter().enumerate() {
             let p = paper::FIG6_GOPS[bi][xi];
-            s.row(format!("{name} {} (GOPS)", fig.x_labels[xi]), p, v, within_rel(p, 0.002));
+            // ±0.2 %, and never more than ±0.5 GOPS.
+            let accept = within(p, (0.002 * p).min(0.5));
+            s.row(format!("{name} {} (GOPS)", fig.x_labels[xi]), p, v, accept);
         }
     }
     // The m = 3 / 256-multiplier bar needs a fractional PE count (§8).
@@ -207,8 +209,9 @@ fn figures(s: &mut Sheet, wl: &Workload) {
     s.row("256 multipliers F(3x3,3x3) PEs", None, pes, exact(10.24));
 }
 
-/// Counts are accepted to ±2, except the \[3\]-based registers, which
-/// land 1 % low and are accepted at ±1.5 % (§8).
+/// The proposed design's counts are accepted to ±2. The \[3\]-based
+/// LUTs and DSPs must be exact; its registers land 1 % low and are
+/// accepted at ±1.5 % (§8).
 fn table1_rows(s: &mut Sheet, device: &FpgaDevice) {
     let t = table1(device);
     s.start("table1", 0);
@@ -218,8 +221,11 @@ fn table1_rows(s: &mut Sheet, device: &FpgaDevice) {
         let ours = [usage.registers, usage.luts, usage.dsps];
         for (i, what) in ["registers", "LUTs", "DSPs"].iter().enumerate() {
             let p = f64::from(published[i]);
-            let accept =
-                if who == "[3]-based" && i == 0 { within_rel(p, 0.015) } else { within(p, 2.0) };
+            let accept = match (who, i) {
+                ("[3]-based", 0) => within_rel(p, 0.015),
+                ("[3]-based", _) => exact(p),
+                _ => within(p, 2.0),
+            };
             s.row(format!("{who} {what}"), p, ours[i] as f64, accept);
         }
     }
@@ -260,9 +266,9 @@ fn table2_rows(s: &mut Sheet, ev: &Evaluator) {
     s.start("table2", 2);
     for (label, p, o) in columns {
         for (g, group) in ["Conv1", "Conv2", "Conv3", "Conv4", "Conv5"].iter().enumerate() {
-            s.row(format!("{label} {group} (ms)"), p.0[g], o.0[g], within(p.0[g], 0.02));
+            s.row(format!("{label} {group} (ms)"), p.0[g], o.0[g], within(p.0[g], 0.01));
         }
-        s.row(format!("{label} overall (ms)"), p.1, o.1, within(p.1, 0.15));
+        s.row(format!("{label} overall (ms)"), p.1, o.1, within(p.1, 0.03));
         s.row(format!("{label} throughput (GOPS)"), p.2, o.2, within_rel(p.2, 0.001)).digits = 1;
         s.row(format!("{label} GOPS/mult"), p.3, o.3, within(p.3, 0.01));
     }

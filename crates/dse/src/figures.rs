@@ -238,23 +238,6 @@ mod tests {
     use wino_models::vgg16d;
 
     #[test]
-    fn fig1_matches_paper_within_rounding() {
-        let fig = fig1(&vgg16d(1));
-        assert_eq!(fig.series.len(), 7);
-        assert_eq!(fig.x_labels, vec!["Conv1", "Conv2", "Conv3", "Conv4", "Conv5"]);
-        for (si, (name, values)) in fig.series.iter().enumerate() {
-            for (vi, &v) in values.iter().enumerate() {
-                let expect = paper::FIG1[si][vi];
-                assert!(
-                    (v - expect).abs() < 0.005,
-                    "{name} {}: got {v:.3}, paper {expect}",
-                    fig.x_labels[vi]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fig2_is_monotonically_increasing_and_in_paper_range() {
         // Shift-free is the paper's hardware cost model ("implemented
         // using shifters and adders") and tracks Fig. 2's shape best.
@@ -274,17 +257,6 @@ mod tests {
             (growth / paper_growth - 1.0).abs() < 0.5,
             "growth {growth:.2} vs paper {paper_growth:.2}"
         );
-    }
-
-    #[test]
-    fn fig3_mult_decrease_matches_paper_except_m2() {
-        let fig = fig3(&vgg16d(1), CostModel::ShiftFree);
-        let dec = &fig.series[0].1;
-        // m = 2: the successive formula gives 55.56 (paper prints 56.25).
-        assert!((dec[0] - 55.56).abs() < 0.01, "got {}", dec[0]);
-        for (i, &expect) in paper::FIG3_MULT_DECREASE.iter().enumerate().skip(1) {
-            assert!((dec[i] - expect).abs() < 0.01, "m={}: got {}, paper {expect}", i + 2, dec[i]);
-        }
     }
 
     #[test]
@@ -313,21 +285,6 @@ mod tests {
         let inc = &fig.series[1].1;
         assert!(dec[2] > inc[2], "m=4 must still be favorable: {} vs {}", dec[2], inc[2]);
         assert!(inc[3] > dec[3], "m=5 must be unfavorable: {} vs {}", inc[3], dec[3]);
-    }
-
-    #[test]
-    fn fig6_matches_paper_to_a_tenth_gops() {
-        let fig = fig6(&vgg16d(1), 200e6);
-        for (row, (name, values)) in fig.series.iter().enumerate() {
-            for (col, &v) in values.iter().enumerate() {
-                let expect = paper::FIG6_GOPS[row][col];
-                assert!(
-                    (v - expect).abs() < 0.5,
-                    "{name} {}: got {v:.2}, paper {expect}",
-                    fig.x_labels[col]
-                );
-            }
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use baselines::{podili_asap17, podili_normalized, qiu_fpga16, BaselineRecord
 pub use explore::{best_design, pareto_front, sweep_m, Objective};
 pub use figures::{fig1, fig2, fig3, fig6, transform_ops_series, SeriesFigure};
 pub use mapping::{map_workload, winograd_eligible, LayerTarget, MappedLayer, WorkloadMapping};
-pub use point::{CachedEvaluator, DesignKey, DesignPoint, Evaluator, Metrics};
+pub use point::{DesignPoint, Evaluator, Metrics};
 pub use render::{fmt_f, TextTable};
 pub use roofline::{
     ddr3_1600, ddr3_1600_x2, layer_traffic, peak_gops, roofline, LayerTraffic, MemorySystem,

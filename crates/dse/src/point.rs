@@ -42,37 +42,6 @@ impl DesignPoint {
     pub fn multipliers(&self) -> usize {
         self.pe_count * self.params.mults_per_tile_2d()
     }
-
-    /// A hashable identity for this point, suitable as a memoization key
-    /// for evaluation caches (the clock is stored as raw `f64` bits).
-    pub fn key(&self) -> DesignKey {
-        DesignKey {
-            m: self.params.m(),
-            r: self.params.r(),
-            arch: self.arch,
-            pe_count: self.pe_count,
-            freq_bits: self.freq_hz.to_bits(),
-            pipeline_depth: self.pipeline_depth,
-        }
-    }
-}
-
-/// Hashable identity of a [`DesignPoint`] — the key under which
-/// [`CachedEvaluator`] (and any external cache) memoizes evaluations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DesignKey {
-    /// Output tile size `m`.
-    pub m: usize,
-    /// Kernel size `r`.
-    pub r: usize,
-    /// Data-transform placement.
-    pub arch: Architecture,
-    /// Parallel PEs.
-    pub pe_count: usize,
-    /// Clock frequency as raw `f64` bits.
-    pub freq_bits: u64,
-    /// Pipeline depth `D_p`.
-    pub pipeline_depth: usize,
 }
 
 impl fmt::Display for DesignPoint {
@@ -211,56 +180,6 @@ impl Evaluator {
     pub fn transform_ops(&self, params: WinogradParams) -> TransformOps {
         wino_core::transform_ops_for(params, wino_core::CostModel::ShiftFree)
     }
-
-    /// Wraps this evaluator in a [`DesignKey`]-keyed memoizing cache.
-    pub fn cached(self) -> CachedEvaluator {
-        CachedEvaluator {
-            inner: self,
-            memo: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-}
-
-/// A thread-safe memoizing wrapper over [`Evaluator::evaluate`], keyed
-/// by [`DesignKey`].
-///
-/// Evaluation regenerates transform matrices and resource estimates on
-/// every call; search engines revisit the same design points
-/// constantly, so memoizing by [`DesignPoint::key`] makes revisits
-/// free. `wino-search`'s `HomogeneousSpace` evaluates through this
-/// wrapper.
-#[derive(Debug)]
-pub struct CachedEvaluator {
-    inner: Evaluator,
-    memo: std::sync::Mutex<std::collections::HashMap<DesignKey, Metrics>>,
-}
-
-impl CachedEvaluator {
-    /// The wrapped evaluator.
-    pub fn evaluator(&self) -> &Evaluator {
-        &self.inner
-    }
-
-    /// Evaluates `point`, returning the memoized result when available.
-    pub fn evaluate(&self, point: &DesignPoint) -> Metrics {
-        let key = point.key();
-        if let Some(hit) = self.memo.lock().expect("memo lock").get(&key) {
-            return hit.clone();
-        }
-        let metrics = self.inner.evaluate(point);
-        self.memo.lock().expect("memo lock").insert(key, metrics.clone());
-        metrics
-    }
-
-    /// Number of distinct design points evaluated so far.
-    pub fn len(&self) -> usize {
-        self.memo.lock().expect("memo lock").len()
-    }
-
-    /// `true` when nothing has been evaluated yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -280,53 +199,6 @@ mod tests {
             freq_hz: 200e6,
             pipeline_depth: 8,
         }
-    }
-
-    #[test]
-    fn table2_ours_m4_row() {
-        // Table II "4,3" column: Conv1 3.54 ms ... overall 28.05 ms,
-        // 1094.3 GOPS, 1.60 GOPS/mult.
-        let ev = paper_evaluator();
-        let metrics = ev.evaluate(&point(4, 19));
-        let expect = [3.54, 5.07, 8.45, 8.45, 2.54];
-        for ((name, ms), &paper) in metrics.group_latency_ms.iter().zip(&expect) {
-            assert!((ms - paper).abs() < 0.01, "{name}: got {ms:.3}, paper {paper}");
-        }
-        assert!(
-            (metrics.total_latency_ms - 28.05).abs() < 0.03,
-            "got {}",
-            metrics.total_latency_ms
-        );
-        assert!((metrics.throughput_gops - 1094.3).abs() < 2.0, "got {}", metrics.throughput_gops);
-        assert!((metrics.mult_efficiency - 1.60).abs() < 0.01);
-        assert!(metrics.fits_device);
-    }
-
-    #[test]
-    fn table2_ours_m3_row() {
-        let ev = paper_evaluator();
-        let metrics = ev.evaluate(&point(3, 28));
-        let expect = [4.27, 6.12, 10.19, 10.19, 3.06];
-        for ((name, ms), &paper) in metrics.group_latency_ms.iter().zip(&expect) {
-            assert!((ms - paper).abs() < 0.01, "{name}: got {ms:.3}, paper {paper}");
-        }
-        assert!((metrics.total_latency_ms - 33.83).abs() < 0.03);
-        assert!((metrics.throughput_gops - 907.2).abs() < 1.5, "got {}", metrics.throughput_gops);
-        assert!((metrics.mult_efficiency - 1.29).abs() < 0.01);
-    }
-
-    #[test]
-    fn table2_ours_m2_row_matches_podili_normalized() {
-        // m = 2 with 43 PEs reproduces [3]^a's latency column exactly
-        // (Sec. V-B: same latency when using the same multipliers).
-        let ev = paper_evaluator();
-        let metrics = ev.evaluate(&point(2, 43));
-        let expect = [6.25, 8.96, 14.94, 14.94, 4.48];
-        for ((name, ms), &paper) in metrics.group_latency_ms.iter().zip(&expect) {
-            assert!((ms - paper).abs() < 0.01, "{name}: got {ms:.3}, paper {paper}");
-        }
-        assert!((metrics.total_latency_ms - 49.57).abs() < 0.03);
-        assert!((metrics.throughput_gops - 619.2).abs() < 1.0);
     }
 
     #[test]
@@ -368,22 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_evaluator_memoizes_by_design_key() {
-        let cached = paper_evaluator().cached();
-        assert!(cached.is_empty());
-        let a = cached.evaluate(&point(4, 19));
-        assert_eq!(cached.len(), 1);
-        let b = cached.evaluate(&point(4, 19));
-        assert_eq!(cached.len(), 1, "identical points share one entry");
-        assert_eq!(a, b);
-        assert_eq!(a, cached.evaluator().evaluate(&point(4, 19)), "cache is transparent");
-        cached.evaluate(&point(2, 43));
-        assert_eq!(cached.len(), 2);
-    }
-
-    #[test]
     fn oversized_design_fails_feasibility() {
         let ev = paper_evaluator();
+        assert!(ev.evaluate(&point(4, 19)).fits_device, "684 mults fit");
         let m = ev.evaluate(&point(4, 20)); // 720 mults > 700 available
         assert!(!m.fits_device);
     }

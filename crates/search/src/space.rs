@@ -4,19 +4,20 @@
 //! A design candidate is a [`Genome`] — one choice index per decision
 //! dimension. Encoding candidates as small integer vectors gives every
 //! strategy (exhaustive enumeration, hill climbing, annealing, genetic
-//! operators) a uniform representation and gives the
-//! [`crate::EvalCache`] a compact key: the genome's mixed-radix index
-//! (the inverse of [`SearchSpace::genome_at`]).
+//! operators) a uniform representation.
 //!
-//! The heterogeneous space's cost is separable over layers, so it costs
-//! every engine context it can reach once, into a table built with the
-//! space, and evaluates a genome by one table lookup per layer.
+//! Both spaces are tables. The homogeneous space evaluates each of its
+//! choices once, when it is built. The heterogeneous space's cost is
+//! separable over layers, so it costs every engine context it can reach
+//! once, into a table built with the space, and evaluates a genome by one
+//! table lookup per layer. Evaluating a space is therefore the one
+//! evaluation path, and nothing is memoized in front of it.
 
 use crate::{resource_headroom, Evaluation};
 use std::collections::HashMap;
 use std::fmt;
 use wino_core::{latency_seconds, pe_count, TileModel, WinogradParams, Workload};
-use wino_dse::{fft_context_latency_seconds, CachedEvaluator, DesignPoint, Evaluator};
+use wino_dse::{fft_context_latency_seconds, DesignPoint, Evaluator};
 use wino_fpga::{fft_engine, Architecture, EngineResources, FpgaDevice, PowerModel, ResourceUsage};
 use wino_tensor::SplitMix64;
 
@@ -71,22 +72,22 @@ pub trait SearchSpace: Sync {
 ///
 /// One dimension whose choices are the entries of `ms` — exactly the
 /// space `wino_dse::sweep_m` enumerates, packaged for the strategy
-/// engine.
+/// engine. Like [`HeterogeneousSpace`], it is a table: every choice is
+/// evaluated once, when the space is built.
 pub struct HomogeneousSpace {
-    evaluator: CachedEvaluator,
-    ms: Vec<usize>,
-    r: usize,
-    mult_budget: usize,
-    freq_hz: f64,
+    evaluator: Evaluator,
+    /// One row per entry of `ms`: the design point (`None` when
+    /// `F(m×m, r×r)` is out of range) and its evaluation.
+    table: Vec<(Option<DesignPoint>, Evaluation)>,
 }
 
 impl HomogeneousSpace {
     /// A homogeneous space over output-tile sizes `ms` for `r×r`
     /// kernels under `mult_budget` multipliers at `freq_hz`.
     ///
-    /// Evaluations go through a [`CachedEvaluator`] (keyed by
-    /// [`wino_dse::DesignKey`]), so re-evaluating a genome never
-    /// regenerates transforms or resource estimates.
+    /// Each choice is built and evaluated here, as `wino_dse::sweep_m`
+    /// does; one whose transform is out of range, or whose budget packs
+    /// no PE, evaluates infeasible.
     ///
     /// # Panics
     ///
@@ -99,28 +100,57 @@ impl HomogeneousSpace {
         freq_hz: f64,
     ) -> HomogeneousSpace {
         assert!(!ms.is_empty(), "homogeneous space needs at least one m");
-        HomogeneousSpace { evaluator: evaluator.clone().cached(), ms, r, mult_budget, freq_hz }
+        let table = ms
+            .into_iter()
+            .map(|m| {
+                let Ok(params) = WinogradParams::new(m, r) else {
+                    return (None, Evaluation::infeasible());
+                };
+                let point = DesignPoint::with_mult_budget(
+                    params,
+                    Architecture::SharedTransform,
+                    mult_budget,
+                    freq_hz,
+                );
+                if point.pe_count == 0 {
+                    return (Some(point), Evaluation::infeasible());
+                }
+                let metrics = evaluator.evaluate(&point);
+                let evaluation = Evaluation {
+                    throughput_gops: metrics.throughput_gops,
+                    power_efficiency: metrics.power_efficiency,
+                    latency_ms: metrics.total_latency_ms,
+                    power_w: metrics.power_w,
+                    headroom: resource_headroom(&metrics.resources, evaluator.device()),
+                    // The analytical models assume the paper's exact f32 datapath.
+                    quant_error: 0.0,
+                    resources: metrics.resources,
+                    feasible: metrics.fits_device,
+                };
+                (Some(point), evaluation)
+            })
+            .collect();
+        HomogeneousSpace { evaluator: evaluator.clone(), table }
     }
 
     /// The underlying evaluator.
     pub fn evaluator(&self) -> &Evaluator {
-        self.evaluator.evaluator()
+        &self.evaluator
+    }
+
+    /// The table row `genome` selects, or `None` for a genome of the
+    /// wrong length or with an out-of-range choice.
+    fn row(&self, genome: &[usize]) -> Option<&(Option<DesignPoint>, Evaluation)> {
+        match genome {
+            &[choice] => self.table.get(choice),
+            _ => None,
+        }
     }
 
     /// Decodes a genome to the design point it denotes. Returns `None`
     /// for genomes of the wrong length or with an out-of-range choice.
     pub fn design_point(&self, genome: &[usize]) -> Option<DesignPoint> {
-        if genome.len() != 1 {
-            return None;
-        }
-        let m = *self.ms.get(*genome.first()?)?;
-        let params = WinogradParams::new(m, self.r).ok()?;
-        Some(DesignPoint::with_mult_budget(
-            params,
-            Architecture::SharedTransform,
-            self.mult_budget,
-            self.freq_hz,
-        ))
+        self.row(genome)?.0.clone()
     }
 }
 
@@ -130,34 +160,17 @@ impl SearchSpace for HomogeneousSpace {
     }
 
     fn cardinality(&self, _dim: usize) -> usize {
-        self.ms.len()
+        self.table.len()
     }
 
     fn evaluate(&self, genome: &[usize]) -> Evaluation {
-        let Some(point) = self.design_point(genome) else {
-            return Evaluation::infeasible();
-        };
-        if point.pe_count == 0 {
-            return Evaluation::infeasible();
-        }
-        let metrics = self.evaluator.evaluate(&point);
-        Evaluation {
-            throughput_gops: metrics.throughput_gops,
-            power_efficiency: metrics.power_efficiency,
-            latency_ms: metrics.total_latency_ms,
-            power_w: metrics.power_w,
-            headroom: resource_headroom(&metrics.resources, self.evaluator().device()),
-            // The analytical models assume the paper's exact f32 datapath.
-            quant_error: 0.0,
-            resources: metrics.resources,
-            feasible: metrics.fits_device,
-        }
+        self.row(genome).map_or_else(Evaluation::infeasible, |(_, evaluation)| *evaluation)
     }
 
     fn describe(&self, genome: &[usize]) -> String {
-        match self.design_point(genome) {
-            Some(point) => point.to_string(),
-            None => format!("invalid genome {genome:?}"),
+        match self.row(genome) {
+            Some((Some(point), _)) => point.to_string(),
+            _ => format!("invalid genome {genome:?}"),
         }
     }
 }
@@ -660,6 +673,16 @@ mod tests {
         let m8 = space.evaluate(&[1]);
         assert!(!m8.feasible);
         assert!(m8.headroom < 0.0);
+        // F(15x15, 3x3) is out of range, and 20 multipliers pack no
+        // F(4x4, 3x3) PE: both choices, and genomes outside the space,
+        // evaluate infeasible.
+        let space = HomogeneousSpace::new(&evaluator(), vec![15, 4], 3, 20, 200e6);
+        assert!(space.design_point(&[0]).is_none());
+        assert!(space.describe(&[0]).starts_with("invalid genome"));
+        assert_eq!(space.design_point(&[1]).map(|p| p.pe_count), Some(0));
+        for genome in [&[0][..], &[1], &[2], &[], &[1, 1]] {
+            assert_eq!(space.evaluate(genome), Evaluation::infeasible(), "{genome:?}");
+        }
     }
 
     #[test]
@@ -1086,7 +1109,7 @@ mod tests {
             let space = benchmark_space(workload);
             for objective in SEPARABLE {
                 let optimum = objective.score(&space.evaluate(&exact_optimum(&space, objective)));
-                let (outcomes, _, _) = compare_strategies(&space, &strategies, objective);
+                let (outcomes, _) = compare_strategies(&space, &strategies, objective);
                 for outcome in outcomes {
                     let score = outcome.best_score(objective);
                     assert!(

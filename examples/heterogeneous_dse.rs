@@ -48,8 +48,7 @@ fn main() {
     let annealing = SimulatedAnnealing::default();
     let genetic = Genetic::default();
     let strategies: Vec<&dyn Strategy> = vec![&greedy, &annealing, &genetic];
-    let (outcomes, archive, cache) =
-        compare_strategies(&space, &strategies, SearchObjective::Throughput);
+    let (outcomes, archive) = compare_strategies(&space, &strategies, SearchObjective::Throughput);
 
     println!(
         "\n{:<22} {:>12} {:>12} {:>10} {:>10}",
@@ -68,10 +67,8 @@ fn main() {
         }
     }
     println!(
-        "\nshared evaluation cache: {} distinct designs, {} hits / {} misses",
-        cache.len(),
-        cache.hits(),
-        cache.misses()
+        "\n{} evaluations across the strategies, each one a table lookup per layer",
+        outcomes.iter().map(|o| o.evaluations).sum::<usize>()
     );
 
     let best = outcomes
@@ -112,8 +109,7 @@ fn main() {
     let homogeneous = HomogeneousSpace::new(&evaluator, vec![2, 3, 4], 3, 700, 200e6);
     let exhaustive = Exhaustive::default();
     let strategies: Vec<&dyn Strategy> = vec![&exhaustive, &greedy, &annealing, &genetic];
-    let (outcomes, _, _) =
-        compare_strategies(&homogeneous, &strategies, SearchObjective::Throughput);
+    let (outcomes, _) = compare_strategies(&homogeneous, &strategies, SearchObjective::Throughput);
     println!("\nhomogeneous m in {{2,3,4}} cross-check (all strategies must agree):");
     for outcome in &outcomes {
         println!(

@@ -58,10 +58,11 @@
 //! //    fits the device, so coordinate ascent has no local optima.
 //! let evaluator = Evaluator::new(vgg16d(1), virtex7_485t());
 //! let space = HeterogeneousSpace::new(&evaluator, vec![2, 3, 4], vec![0.5, 1.0], 700, 200e6);
-//! let cache = EvalCache::new();
+//! let counter = EvalCache::new(); // counts evaluations; memoizes nothing
 //! let mut archive = ParetoArchive::new();
 //! let outcome = Greedy::default()
-//!     .search(&space, &cache, SearchObjective::Throughput, &mut archive);
+//!     .search(&space, &counter, SearchObjective::Throughput, &mut archive);
+//! assert_eq!(counter.misses(), outcome.evaluations as u64);
 //! let (_, best_found) = outcome.best.expect("a design fits");
 //! assert!(best_found.throughput_gops >= metrics.throughput_gops - 1e-9);
 //! # let _ = algo;
@@ -108,8 +109,7 @@ pub mod prelude {
     };
     pub use wino_dse::{
         best_design, fft_context_latency_seconds, fig1, fig2, fig3, fig6, pareto_front, sweep_m,
-        table1, table2, table2_text, CachedEvaluator, DesignKey, DesignPoint, Evaluator, Metrics,
-        Objective,
+        table1, table2, table2_text, DesignPoint, Evaluator, Metrics, Objective,
     };
     pub use wino_engine::{EngineConfig, SimReport, WinogradEngine};
     pub use wino_exec::{

@@ -33,7 +33,7 @@ fn all_strategies_agree_with_exhaustive_on_homogeneous_m234() {
     let annealing = SimulatedAnnealing::default();
     let genetic = Genetic::default();
     let strategies: Vec<&dyn Strategy> = vec![&exhaustive, &greedy, &annealing, &genetic];
-    let (outcomes, _, cache) = compare_strategies(&space, &strategies, SearchObjective::Throughput);
+    let (outcomes, _) = compare_strategies(&space, &strategies, SearchObjective::Throughput);
 
     let optimum = outcomes[0].best_score(SearchObjective::Throughput);
     // The optimum is the paper's m = 4 design (Table II: 1094.3 GOPS).
@@ -49,9 +49,6 @@ fn all_strategies_agree_with_exhaustive_on_homogeneous_m234() {
             outcome.strategy
         );
     }
-    // Three distinct designs exist; everything else is cache traffic.
-    assert_eq!(cache.misses(), 3);
-    assert!(cache.hits() > 0);
 }
 
 #[test]
@@ -109,7 +106,7 @@ fn exhaustive_heterogeneous_on_tiny_cnn_confirms_metaheuristics() {
         SearchObjective::Latency,
         SearchObjective::ResourceHeadroom,
     ] {
-        let (outcomes, archive, _) = compare_strategies(&space, &strategies, objective);
+        let (outcomes, archive) = compare_strategies(&space, &strategies, objective);
         let optimum = outcomes[0].best_score(objective);
         assert!(optimum.is_finite(), "{objective}: no feasible design");
         for outcome in &outcomes {
@@ -159,19 +156,4 @@ fn archive_equals_brute_force_pareto_filter() {
         archive.entries().iter().map(|e| format!("{:?}", e.evaluation.objectives())).collect();
     got.sort();
     assert_eq!(got, expected);
-}
-
-#[test]
-fn design_key_memoizes_equal_points() {
-    let a = DesignPoint::with_mult_budget(
-        WinogradParams::new(4, 3).expect("valid"),
-        Architecture::SharedTransform,
-        700,
-        200e6,
-    );
-    let b = a.clone();
-    assert_eq!(a.key(), b.key());
-    let mut map = std::collections::HashMap::new();
-    map.insert(a.key(), paper_evaluator().evaluate(&a));
-    assert!(map.contains_key(&b.key()));
 }
