@@ -202,21 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn headline_speedup_4_75x() {
-        // Abstract: "up to 4.75x ... improvement in throughput" vs [3]
-        // (230.4 GOPS at 256 multipliers).
-        let ev = paper_evaluator();
-        let ours = ev.evaluate(&point(4, 19));
-        let podili = ev.evaluate(&point(2, 16));
-        assert!((podili.throughput_gops - 230.4).abs() < 0.5);
-        let speedup = ours.throughput_gops / podili.throughput_gops;
-        assert!((speedup - 4.75).abs() < 0.02, "got {speedup:.3}");
-        // "while using approximately 2.67x more multipliers"
-        let mult_ratio = ours.resources.multipliers as f64 / podili.resources.multipliers as f64;
-        assert!((mult_ratio - 2.67).abs() < 0.01, "got {mult_ratio:.3}");
-    }
-
-    #[test]
     fn with_mult_budget_applies_eq8() {
         let p = DesignPoint::with_mult_budget(
             WinogradParams::new(4, 3).unwrap(),

@@ -231,51 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn our_columns_reproduce_paper_latency_and_throughput() {
-        let cols = table2(&evaluator());
-        let expect: [(&str, [f64; 5], f64, f64, f64); 3] = [
-            ("Ours 2,3", [6.25, 8.96, 14.94, 14.94, 4.48], 49.57, 619.2, 0.90),
-            ("Ours 3,3", [4.27, 6.12, 10.19, 10.19, 3.06], 33.83, 907.2, 1.29),
-            ("Ours 4,3", [3.54, 5.07, 8.45, 8.45, 2.54], 28.05, 1094.3, 1.60),
-        ];
-        for (label, conv, overall, gops, eff) in expect {
-            let col = cols.iter().find(|c| c.label == label).expect("column exists");
-            for (got, want) in col.conv_ms.iter().zip(&conv) {
-                assert!((got - want).abs() < 0.01, "{label}: {got} vs {want}");
-            }
-            assert!((col.overall_ms - overall).abs() < 0.03, "{label} overall");
-            assert!((col.throughput_gops - gops).abs() < 2.0, "{label} throughput");
-            assert!((col.mult_efficiency - eff).abs() < 0.01, "{label} mult eff");
-        }
-    }
-
-    #[test]
     fn our_powers_are_modelled_near_paper_values() {
+        // Every power cell is a `wino_bench::paper` row, m = 3 and 4 at
+        // ±2 %. The m = 2 row accepts the band up to the 14.98 W the
+        // paper's GOPS/W row implies, so its tighter bound on the printed
+        // 13.03 W stays here.
         let cols = table2(&evaluator());
-        for (label, watts) in [("Ours 2,3", 13.03), ("Ours 3,3", 23.96), ("Ours 4,3", 36.32)] {
-            let col = cols.iter().find(|c| c.label == label).expect("column exists");
-            assert_eq!(col.power_provenance, Provenance::Computed);
-            let rel = (col.power_w - watts).abs() / watts;
-            assert!(rel < 0.03, "{label}: modelled {:.2} W vs paper {watts} W", col.power_w);
+        let col = |label: &str| cols.iter().find(|c| c.label == label).expect("column exists");
+        for label in ["Ours 2,3", "Ours 3,3", "Ours 4,3"] {
+            assert_eq!(col(label).power_provenance, Provenance::Computed);
         }
-    }
-
-    #[test]
-    fn headline_power_efficiency_improvement() {
-        // Abstract: "1.44x improvement in power-efficiency" — ours m=2 vs
-        // the normalized [3]a at the same throughput. The paper's own
-        // efficiency row (41.34 vs 28.66) encodes 1.44x; our modelled
-        // power for m=2 lands within the paper's two self-inconsistent
-        // values (13.03 W printed, 14.98 W implied), bracketing the
-        // improvement between 1.44x and 1.66x.
-        let cols = table2(&evaluator());
-        let ours = cols.iter().find(|c| c.label == "Ours 2,3").expect("exists");
-        let podili_a = cols.iter().find(|c| c.label == "[3]a").expect("exists");
-        let improvement = ours.power_efficiency / podili_a.power_efficiency;
-        assert!(
-            (1.35..1.75).contains(&improvement),
-            "power-efficiency improvement {improvement:.2} out of range"
-        );
+        let watts = col("Ours 2,3").power_w;
+        assert!((watts - 13.03).abs() / 13.03 < 0.03, "modelled {watts:.2} W vs paper 13.03 W");
     }
 
     #[test]

@@ -34,6 +34,10 @@
 //!   past it. Accumulation stays in the same register block across
 //!   blocks, so blocking never reorders a sum.
 //!
+//! The AVX-512 `f32` kernel (see below) keeps the packed `A` but
+//! neither packs `B` nor blocks the channel loop: its `8 × 32` tile
+//! reads each `B` row in place, through lane masks on the ragged edge.
+//!
 //! ## Determinism contract
 //!
 //! Every output element is one fixed-order accumulation chain over the
@@ -48,25 +52,34 @@
 //! ## Instruction-set dispatch
 //!
 //! The crate builds for the baseline x86-64 target (SSE2, 4 `f32`
-//! lanes). [`gemm_packed_a`] runs one of three builds of the same
-//! source, the widest the CPU supports (detected once per process):
+//! lanes). [`gemm_packed_a`] runs one of three builds, the widest the
+//! CPU supports (detected once per process):
 //!
 //! * **AVX-512** (`avx512f`, `avx512vl`, `avx512dq`, `avx512bw`, plus
-//!   AVX2): each `NR`-wide accumulator row of `f64`, and of `Fixed`'s
-//!   `i64` products, is one 512-bit `zmm` register, and the saturating
-//!   `Fixed` multiply-add vectorizes: the 64-bit arithmetic shift and
+//!   AVX2). `f32`, the paper's datapath, runs a kernel of its own,
+//!   written with intrinsics: an [`MR`]` × 32` register tile whose rows
+//!   are two 16-lane `zmm` accumulators each (sixteen in all; one per
+//!   row on a tail of at most 16 columns), with `B` read and `C`
+//!   written in place through lane masks, so it copies and allocates
+//!   nothing. `f64` and `Fixed` run the generic body compiled for
+//!   AVX-512: each `NR`-wide accumulator row of `f64`, and of `Fixed`'s
+//!   `i64` products, is one `zmm` register, and the saturating `Fixed`
+//!   multiply-add vectorizes, because the 64-bit arithmetic shift and
 //!   the saturating 64 → 32-bit narrowing it needs are single AVX-512
 //!   instructions (`vpsraq`, `vpmovsqd`) that AVX2 lacks, so the
 //!   narrower builds do not vectorize it profitably;
-//! * **AVX2**: each `f32` accumulator row is one 8-lane `ymm` register;
-//! * **portable**: the baseline build.
+//! * **AVX2**: the generic body; each `f32` accumulator row is one
+//!   8-lane `ymm` register;
+//! * **portable**: the generic body in the baseline build.
 //!
 //! FMA is deliberately not enabled in any build: Rust never contracts
-//! `a * b + c`, so every build executes the identical multiply-then-add
-//! chain, and `Fixed`'s integer arithmetic is exact, so the determinism
-//! contract above holds on every host and every build produces the same
-//! bits (the `every_tier_is_bitwise_the_portable_body` test checks each
-//! build the host supports).
+//! `a * b + c`, the `f32` kernel issues a separate multiply
+//! (`_mm512_mul_ps`) and add (`_mm512_add_ps`) per step, and `Fixed`'s
+//! integer arithmetic is exact. So every build executes the identical
+//! multiply-then-add chain, the determinism contract above holds on
+//! every host, and every build produces the same bits (the
+//! `every_tier_is_bitwise_the_portable_body` test checks each build the
+//! host supports, and prints whether the `f32` kernel was among them).
 
 use wino_tensor::Scalar;
 
@@ -78,16 +91,18 @@ use wino_tensor::Scalar;
 /// never spills. On the SSE2 baseline the same block is sixteen 4-lane
 /// `xmm` accumulators, which also measured fastest in the
 /// `{4, 6, 8} × {8, 16, 24}` sweep on the vgg16d-conv3 geometry (see
-/// `DESIGN.md`). The AVX-512 build keeps this `8 × 8` tile: an
-/// AVX-512 build with a 16-wide tile (`NR = 16`, so `[[T; 16]; MR]`
-/// accumulators) ran at 0.2× of this one, because it spills, while the
-/// `8 × 8` tile fits in the thirty-two `zmm` registers at every scalar
-/// (at `f32` a row is half a register). FMA stays off on purpose — a
-/// fused multiply-add rounds once where `gemm_naive` rounds twice, so
-/// it would change output bits.
+/// `DESIGN.md`). The AVX-512 build keeps `MR = 8`, so [`pack_a`]'s
+/// layout is the same for every build. Its generic body keeps the
+/// `8 × 8` tile for `f64` and `Fixed`: a generic 16-wide tile
+/// (`NR = 16`, so `[[T; 16]; MR]` accumulators) ran at 0.2× of it,
+/// because it spills. Its `f32` kernel widens only the columns, to an
+/// `8 × 32` tile of sixteen `zmm` accumulators written with intrinsics.
+/// FMA stays off on purpose — a fused multiply-add rounds once where
+/// `gemm_naive` rounds twice, so it would change output bits.
 pub const MR: usize = 8;
 
-/// Columns of one register micro-tile (the tile/`T` dimension).
+/// Columns of one register micro-tile of the generic body (the
+/// tile/`T` dimension). The AVX-512 `f32` kernel's tile is 32 wide.
 pub const NR: usize = 8;
 
 /// Channel-loop cache block: the innermost loop walks the reduction
@@ -165,7 +180,8 @@ fn micro_kernel<T: Scalar>(kc: usize, apack: &[T], bpack: &[T], acc: &mut [[T; N
 /// This is the engine's hot path: the kernel bank arrives packed once,
 /// `B` is packed `NR` columns at a time on the fly, and outputs are
 /// produced through [`MR`]`×`[`NR`] register tiles with the channel
-/// loop [`KC`]-blocked. Every output element accumulates over
+/// loop [`KC`]-blocked (the AVX-512 `f32` kernel instead reads `B` in
+/// place through `MR × 32` tiles). Every output element accumulates over
 /// `p = 0..k` in increasing order, so the result is bitwise identical
 /// to [`gemm_naive`] at any shape.
 ///
@@ -189,16 +205,6 @@ pub fn gemm_packed_a<T: Scalar>(
     c: &mut [T],
     ldc: usize,
 ) {
-    assert_eq!(apack.len(), m.div_ceil(MR).max(1) * k * MR, "packed A length mismatch");
-    assert!(ldb >= n, "B row stride {ldb} shorter than row length {n}");
-    assert!(ldc >= n, "C row stride {ldc} shorter than row length {n}");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k > 0 {
-        assert!((k - 1) * ldb + n <= b.len(), "B exceeds the supplied slice");
-    }
-    assert!((m - 1) * ldc + n <= c.len(), "C exceeds the supplied slice");
     Tier::best().run(m, n, k, apack, b, ldb, c, ldc);
 }
 
@@ -241,12 +247,13 @@ impl Tier {
         })
     }
 
-    /// Runs [`gemm_body`] as this build. The caller has checked the
-    /// arguments.
+    /// Runs this build of [`gemm_packed_a`]: the AVX-512 `f32` kernel
+    /// for `f32` on [`Tier::Avx512`], [`gemm_body`] otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if the CPU does not [support](Self::supported) the build.
+    /// Panics on the argument errors [`gemm_packed_a`] lists, and if the
+    /// CPU does not [support](Self::supported) the build.
     #[allow(clippy::too_many_arguments)] // BLAS-style flat dims-and-strides signature
     fn run<T: Scalar>(
         self,
@@ -259,13 +266,29 @@ impl Tier {
         c: &mut [T],
         ldc: usize,
     ) {
+        assert_eq!(apack.len(), m.div_ceil(MR).max(1) * k * MR, "packed A length mismatch");
+        assert!(ldb >= n, "B row stride {ldb} shorter than row length {n}");
+        assert!(ldc >= n, "C row stride {ldc} shorter than row length {n}");
+        if m == 0 || n == 0 {
+            return;
+        }
+        if k > 0 {
+            assert!((k - 1) * ldb + n <= b.len(), "B exceeds the supplied slice");
+        }
+        assert!((m - 1) * ldc + n <= c.len(), "C exceeds the supplied slice");
         assert!(self.supported(), "the {self:?} GEMM build needs CPU features this CPU lacks");
         match self {
-            // SAFETY: the build only requires that the CPU supports
-            // AVX-512F/VL/DQ/BW and AVX2, which the assert above checked.
+            // SAFETY: both builds only require that the CPU supports
+            // AVX-512F/VL/DQ/BW and AVX2, which the assert above checked;
+            // the `f32` kernel checks its own offsets.
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            Tier::Avx512 => unsafe { gemm_body_avx512(m, n, k, apack, b, ldb, c, ldc) },
+            Tier::Avx512 => match (T::as_f32(apack), T::as_f32(b), T::as_f32_mut(c)) {
+                (Some(apack), Some(b), Some(c)) => unsafe {
+                    gemm_f32_avx512(m, n, k, apack, b, ldb, c, ldc)
+                },
+                _ => unsafe { gemm_body_avx512(m, n, k, apack, b, ldb, c, ldc) },
+            },
             // SAFETY: the build only requires that the CPU supports AVX2,
             // which the assert above checked.
             #[cfg(target_arch = "x86_64")]
@@ -277,7 +300,8 @@ impl Tier {
 }
 
 /// [`gemm_body`] compiled for AVX-512, so the micro-kernel runs on
-/// 512-bit `zmm` vectors. No FMA: every element stays the same
+/// 512-bit `zmm` vectors: the AVX-512 build for every scalar but `f32`,
+/// which has [`gemm_f32_avx512`]. No FMA: every element stays the same
 /// multiply-then-add chain as the portable build, so both produce
 /// identical bits.
 #[cfg(target_arch = "x86_64")]
@@ -294,6 +318,110 @@ fn gemm_body_avx512<T: Scalar>(
     ldc: usize,
 ) {
     gemm_body(m, n, k, apack, b, ldb, c, ldc);
+}
+
+/// `f32` lanes in one 512-bit `zmm` register.
+#[cfg(target_arch = "x86_64")]
+const ZMM_F32: usize = 16;
+
+/// The `f32` kernel of the AVX-512 build: [`MR`]` × 32` register tiles,
+/// each row two `zmm` accumulators (one when at most 16 columns are
+/// left), sixteen in all. `B` is read in place and `C` written in place
+/// through lane masks, so nothing is copied or allocated.
+///
+/// Each accumulator starts at `+0.0` and runs `acc = acc + a·b` (a
+/// multiply, then an add; no FMA) over `p = 0..k` in increasing order,
+/// then overwrites `C`: the chain of [`gemm_naive`], so the output bits
+/// are those of the portable body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)] // BLAS-style flat dims-and-strides signature
+fn gemm_f32_avx512(
+    m: usize,
+    n: usize,
+    k: usize,
+    apack: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    for j0 in (0..n).step_by(2 * ZMM_F32) {
+        let cols = (2 * ZMM_F32).min(n - j0);
+        for i0 in (0..m).step_by(MR) {
+            let apanel = &apack[(i0 / MR) * k * MR..][..k * MR];
+            let rows = MR.min(m - i0);
+            let c = &mut c[i0 * ldc + j0..];
+            if cols > ZMM_F32 {
+                f32_tile_avx512::<2>(apanel, b, ldb, j0, cols, c, ldc, rows);
+            } else {
+                f32_tile_avx512::<1>(apanel, b, ldb, j0, cols, c, ldc, rows);
+            }
+        }
+    }
+}
+
+/// One register tile of [`gemm_f32_avx512`]: rows `0..rows`, columns
+/// `0..cols` of `c` (row stride `ldc`) get `apanel · B[.., j0..j0 + cols]`.
+/// The tile's columns are `NV` `zmm` vectors, the last one masked down
+/// to the columns that are left.
+///
+/// # Panics
+///
+/// Panics unless `cols` fills exactly `NV` vectors, `rows ≤ MR`, and
+/// the tile lies inside `b` and `c`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(unsafe_code, clippy::too_many_arguments)]
+fn f32_tile_avx512<const NV: usize>(
+    apanel: &[f32],
+    b: &[f32],
+    ldb: usize,
+    j0: usize,
+    cols: usize,
+    c: &mut [f32],
+    ldc: usize,
+    rows: usize,
+) {
+    use std::arch::x86_64::*;
+    let k = apanel.len() / MR;
+    assert!((NV - 1) * ZMM_F32 < cols && cols <= NV * ZMM_F32, "{cols} columns in {NV} vectors");
+    assert!((1..=MR).contains(&rows), "{rows} rows in a tile of {MR}");
+    assert!(k == 0 || (k - 1) * ldb + j0 + cols <= b.len(), "tile exceeds B");
+    assert!((rows - 1) * ldc + cols <= c.len(), "tile exceeds C");
+    // Vector `v` holds columns `v·16..`; its mask keeps those below `cols`.
+    let masks: [u16; NV] =
+        std::array::from_fn(|v| (0xFFFF >> (ZMM_F32 - (cols - v * ZMM_F32).min(ZMM_F32))) as u16);
+    let mut acc = [[_mm512_setzero_ps(); NV]; MR];
+    for (p, arow) in apanel.chunks_exact(MR).enumerate() {
+        let brow = &b[p * ldb + j0..];
+        let mut bv = [_mm512_setzero_ps(); NV];
+        for v in 0..NV {
+            // SAFETY: the base `v·16 < cols` and the lanes `masks[v]`
+            // keeps, `brow[v·16 + l]` with `v·16 + l < cols`, are inside
+            // `brow`, because `p ≤ k − 1` and the asserts above give
+            // `(k − 1)·ldb + j0 + cols ≤ b.len()`. Masked lanes are not read.
+            bv[v] = unsafe { _mm512_maskz_loadu_ps(masks[v], brow.as_ptr().add(v * ZMM_F32)) };
+        }
+        for i in 0..MR {
+            let av = _mm512_set1_ps(arow[i]);
+            for v in 0..NV {
+                acc[i][v] = _mm512_add_ps(acc[i][v], _mm512_mul_ps(av, bv[v]));
+            }
+        }
+    }
+    for (i, acc) in acc.iter().enumerate().take(rows) {
+        let crow = &mut c[i * ldc..];
+        for v in 0..NV {
+            // SAFETY: the base `v·16 < cols` and the lanes `masks[v]`
+            // keeps, `crow[v·16 + l]` with `v·16 + l < cols`, are inside
+            // `crow`, because `i < rows` and the asserts above give
+            // `(rows − 1)·ldc + cols ≤ c.len()`. Masked lanes are not
+            // written, so `C` past column `cols` keeps its values.
+            unsafe { _mm512_mask_storeu_ps(crow.as_mut_ptr().add(v * ZMM_F32), masks[v], acc[v]) };
+        }
+    }
 }
 
 /// [`gemm_body`] compiled for AVX2, so the micro-kernel runs on 8-lane
@@ -474,8 +602,10 @@ mod tests {
     /// Runs every instruction-set build the CPU supports and the
     /// portable body on the same operands and asserts equal bits.
     /// Shapes cover `m, n < MR, NR`, ragged edges on both axes, `k`
-    /// beyond one and two `KC` blocks, and strided `B`/`C` whose slack
-    /// columns must stay untouched. Returns the builds that ran.
+    /// beyond one and two `KC` blocks, `n` on both sides of the AVX-512
+    /// `f32` kernel's 16- and 32-column blocks, `k = 0` (`C` overwritten
+    /// with zeros), and strided `B`/`C` whose slack columns must stay
+    /// untouched. Returns the builds that ran.
     fn every_tier_matches_portable<T: Scalar>(
         conv: impl Fn(f32) -> T,
         bits: impl Fn(T) -> u64,
@@ -487,6 +617,14 @@ mod tests {
             (9, 17, 2 * KC + 1, 1),
             (16, 8, KC, 0),
             (13, 70, 130, 2),
+            (8, 16, 9, 3),
+            (11, 31, KC + 1, 1),
+            (8, 32, 40, 2),
+            (17, 33, 7, 1),
+            (9, 49, 2 * KC, 3),
+            (5, 64, 12, 1),
+            (16, 65, KC, 2),
+            (10, 33, 0, 2),
         ] {
             let (ldb, ldc) = (n + slack, n + 2 * slack);
             let a: Vec<T> = filled(m * k, 7).into_iter().map(&conv).collect();
@@ -520,6 +658,10 @@ mod tests {
         every_tier_matches_portable(|x| Fixed::<14>::from_f32(256.0 * x), |x| x.to_f64().to_bits());
         assert_eq!(tiers.first(), Some(&Tier::best()), "dispatch takes the widest build");
         println!("GEMM builds checked on this CPU: {tiers:?}");
+        println!(
+            "AVX-512 f32 kernel: {}",
+            if tiers.contains(&Tier::Avx512) { "ran" } else { "not run (no AVX-512)" }
+        );
     }
 
     #[test]

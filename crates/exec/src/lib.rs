@@ -62,7 +62,8 @@
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the GEMM's run-time instruction-set
-// dispatch (`gemm::Tier::run`) is the one place allowed `unsafe` blocks.
+// dispatch (`gemm::Tier::run`) and the masked loads and stores of its
+// AVX-512 `f32` kernel are the only places allowed `unsafe` blocks.
 #![deny(unsafe_code)]
 
 mod backend;

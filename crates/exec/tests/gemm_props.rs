@@ -28,7 +28,7 @@ proptest! {
     fn packed_gemm_is_bitwise_naive_f32(
         seed in 0u64..1_000_000,
         m in 1usize..40,
-        n in 1usize..40,
+        n in 1usize..80,
         k in 1usize..40,
         pad_a in 0usize..4,
         pad_b in 0usize..4,

@@ -42,6 +42,15 @@ pub trait Scalar:
     fn from_f64(x: f64) -> Self;
     /// Lossy conversion to `f64` (used for error measurement and display).
     fn to_f64(self) -> f64;
+    /// `s` itself when `Self` is `f32`, else `None`: lets generic code
+    /// hand the paper's datapath to an `f32`-only kernel without a cast.
+    fn as_f32(_: &[Self]) -> Option<&[f32]> {
+        None
+    }
+    /// The mutable counterpart of [`Scalar::as_f32`].
+    fn as_f32_mut(_: &mut [Self]) -> Option<&mut [f32]> {
+        None
+    }
 }
 
 impl Scalar for f32 {
@@ -56,6 +65,12 @@ impl Scalar for f32 {
     }
     fn to_f64(self) -> f64 {
         self as f64
+    }
+    fn as_f32(s: &[f32]) -> Option<&[f32]> {
+        Some(s)
+    }
+    fn as_f32_mut(s: &mut [f32]) -> Option<&mut [f32]> {
+        Some(s)
     }
 }
 
@@ -123,6 +138,16 @@ mod tests {
         assert_eq!(sum3::<f64>(), 3.0);
         assert_eq!(sum3::<Ratio>(), Ratio::from_integer(3));
         assert_eq!(sum3::<Fixed<16>>().to_f64(), 3.0);
+    }
+
+    #[test]
+    fn only_f32_views_itself_as_f32() {
+        let mut xs = [1.5f32, -2.0];
+        assert_eq!(f32::as_f32(&xs), Some(&[1.5, -2.0][..]));
+        assert!(f32::as_f32_mut(&mut xs).is_some());
+        assert_eq!(f64::as_f32(&[1.5]), None);
+        assert_eq!(Ratio::as_f32(&[Ratio::ONE]), None);
+        assert!(Fixed::<16>::as_f32_mut(&mut [Fixed::ZERO]).is_none());
     }
 
     #[test]
